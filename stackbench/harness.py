@@ -191,9 +191,14 @@ def digest(runs) -> str:
     return h.hexdigest()[:16]
 
 
-def peak_rss_mb() -> float:
-    """Peak resident memory of this process so far, in MiB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_rss_mb(children: bool = True) -> float:
+    """Peak resident memory, in MiB, of the largest of this process and
+    (unless ``children`` is false) its ended child processes: pool
+    workers and set-up probes, each counted on its own, not summed."""
+    who = [resource.RUSAGE_SELF]
+    if children:
+        who.append(resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ PER_LAYER = [
     ("arch.compressed-replay.timed_frac", "ratio"),
     ("arch.batch-replay.s", "s"),
     ("arch.batch-replay.timed_frac", "ratio"),
+    ("serve.capacity_rps", "1/s"),
     ("serve.client.rtt_ms", "ms"), ("serve.server.warm_ms", "ms"),
     ("serve.server.interactive_ms", "ms"),
     ("serve.jobs_per_batch", "ratio"),

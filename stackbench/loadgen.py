@@ -23,8 +23,9 @@ class Outcome:
     due: float
     sent: float
     done: float
-    #: ``"ok"``, ``"failed"`` (error, wrong payload, connection) or
-    #: ``"refused"`` (HTTP 429)
+    #: ``"ok"``, ``"failed"`` (error answer or connection error),
+    #: ``"wrong"`` (an answer that is unverified or differs from the
+    #: expected payload) or ``"refused"`` (HTTP 429)
     status: str
 
     @property
@@ -85,3 +86,36 @@ def backlog_grew(outcomes, limit_s: float) -> bool:
     of the schedule exceeds ``limit_s``: requests were piling up."""
     tail = sorted(o.late for o in outcomes[-max(1, len(outcomes) // 4):])
     return tail[len(tail) // 2] > limit_s
+
+
+def closed_loop(send, count: int, seconds: float, senders: int,
+                clock=time.perf_counter) -> tuple[list[Outcome], float]:
+    """Each sender sends its next request as soon as its last one is
+    answered, until ``seconds`` have passed or ``count`` requests were
+    sent.  Returns the outcomes (due = sent) in send order and the
+    elapsed seconds; completed requests over elapsed seconds is the
+    server's capacity on this request mix."""
+    outcomes: list[Outcome | None] = [None] * count
+    order = itertools.count()
+    start = clock()
+
+    def sender():
+        session = send.session()
+        try:
+            while clock() - start < seconds:
+                i = next(order)
+                if i >= count:
+                    return
+                sent = clock()
+                status = send(session, i)
+                outcomes[i] = Outcome(sent, sent, clock(), status)
+        finally:
+            send.close(session)
+
+    threads = [threading.Thread(target=sender, daemon=True)
+               for _ in range(max(1, senders))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return [o for o in outcomes if o is not None], clock() - start

@@ -148,6 +148,50 @@ def test_open_loop_on_time_when_service_keeps_up():
     assert not loadgen.backlog_grew(outcomes, 0.01)
 
 
+def test_closed_loop_sends_back_to_back_until_time_is_up():
+    clock = _FakeClock()
+    outcomes, elapsed = loadgen.closed_loop(
+        _Sender(clock, 0.25), count=100, seconds=1.0, senders=1,
+        clock=clock)
+    assert [o.sent for o in outcomes] == pytest.approx([0, .25, .5, .75])
+    assert elapsed == pytest.approx(1.0)
+    assert all(o.late == 0 for o in outcomes)
+
+
+# -- served-result accounting ------------------------------------------
+class _Job(tuple):
+    kernel = property(lambda self: self[0])
+
+
+class _Client:
+    def __init__(self, result):
+        self.result = result
+
+    def submit(self, _jobs):
+        return {"results": [self.result]}
+
+
+@pytest.mark.parametrize("result, status", [
+    ({"kernel": "k", "verified": True, "cycles": 5}, "ok"),
+    ({"kernel": "k", "verified": True, "cycles": 6}, "wrong"),
+    ({"kernel": "k", "verified": False, "cycles": 5}, "wrong"),
+    ({"kernel": "other", "verified": True, "cycles": 5}, "wrong"),
+    ({"error": "boom"}, "failed")])
+def test_served_answers_are_classified(result, status):
+    job = _Job(("k",))
+    requests = workloads._Requests("http://unused", [job], {job: 5})
+    assert requests(_Client(result), 0) == status
+
+
+def test_a_wrong_served_answer_fails_the_run():
+    out = workloads.Outcome()
+    outcomes = [loadgen.Outcome(0, 0, 0, status)
+                for status in ("ok", "wrong", "failed", "refused")]
+    workloads._record_phase(out, "high", outcomes)
+    assert out.ledger.failed == 3
+    assert [passed for _, passed, _ in out.checks] == [False]
+
+
 # -- smoke runs of every workload --------------------------------------
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_smoke(name, tmp_path):

@@ -34,8 +34,8 @@ from harness import (
     run_record,
 )
 
-#: Setup samples per run.
-SETUP_SAMPLES = 3
+#: Setup samples per run; ``setup_s`` is their median.
+SETUP_SAMPLES = 10
 #: Seconds of warm replays, and of single-job lookups, after each cold
 #: job group.
 SLICE_S = 0.25
@@ -64,6 +64,10 @@ class Context:
     @property
     def slice_s(self) -> float:
         return 0.02 if self.smoke else SLICE_S
+
+    @property
+    def setup_samples(self) -> int:
+        return 2 if self.smoke else SETUP_SAMPLES
 
     def span(self, name: str):
         return (self.tracer.span(name) if self.tracer
@@ -100,7 +104,7 @@ def engine_setup_seconds(ctx: Context, workers: int, analytic: bool):
     and warmed its worker pool."""
     samples = []
     slow = host_slowness(MARK_REPEATS)
-    for i in range(SETUP_SAMPLES):
+    for i in range(ctx.setup_samples):
         argv = [sys.executable, str(BENCH_DIR / "setup_probe.py"),
                 "--workers", str(workers),
                 "--cache", str(ctx.scratch(f"setup-{i}"))]
@@ -153,7 +157,7 @@ def _gemm_cost(job) -> float:
     return float(rows * k * n)
 
 
-def _batch_round(ctx: Context, jobs, groups, workers: int):
+def _batch_round(ctx: Context, jobs, groups, workers: int, host_work):
     """One round in a fresh cache.  Per job group: a cold engine batch,
     then a slice of warm replays of the group (fresh engine each) and a
     slice of single-job lookups (fresh engine, one job per call) over
@@ -226,18 +230,17 @@ def _batch_round(ctx: Context, jobs, groups, workers: int):
         slowness_since()
     pids = {pid for _, _, pid in engine.last_dispatch}
     counters = engine.counters
-    # pool workers are left out: their footprint depends on which jobs
-    # the pool happened to deal them
-    rss = peak_rss_mb()
+    # after the shutdown the ended pool workers count in the reading
     engine.shutdown(wait=True)
-    work = [sum(cold[i].stats.instructions for i in group)
-            for group in groups]
+    rss = peak_rss_mb()
+    work = [sum(host_work(cold[i]) for i in group) for group in groups]
     total = sum(work)
-    return {"cold": cold, "instructions": total,
+    return {"cold": cold,
+            "instructions": sum(run.stats.instructions for run in cold),
             "cold_s": sum(t for t, _ in group_s),
             "cold_nominal_s": sum(t / slowness for t, slowness in group_s),
             # each group's time scaled up to the whole job set by its
-            # share of the simulated instructions
+            # share of the host work (see batch_workload)
             "cold_equiv": [(t * total / w, slowness)
                            for (t, slowness), w in zip(group_s, work)],
             "warm": warm, "warm_rates": warm_rates, "slices": slices,
@@ -246,11 +249,18 @@ def _batch_round(ctx: Context, jobs, groups, workers: int):
 
 
 def batch_workload(ctx: Context, jobs, groups, workers: int,
-                   analytic: bool,
-                   functional: bool) -> tuple[Outcome, list]:
+                   analytic: bool, functional: bool,
+                   host_work=lambda run: 1.0,
+                   min_rounds: int = 1) -> tuple[Outcome, list]:
     """Measure a batch workload whose cold pass runs ``groups`` (lists
     of job indices) as one engine batch each; returns the outcome and
-    the cold runs of the last round (for workload-specific checks)."""
+    the cold runs of the last round (for workload-specific checks).
+
+    ``host_work(run)`` is the host work a cold job stands for, relative
+    to the others; each group's cold time is scaled up to the whole job
+    set by its share of that work.  The default weighs every job
+    alike.  Rounds repeat until ``ctx.seconds`` have passed and at
+    least ``min_rounds`` ran."""
     import layers
 
     out = Outcome()
@@ -258,17 +268,28 @@ def batch_workload(ctx: Context, jobs, groups, workers: int,
         samples = engine_setup_seconds(ctx, workers, analytic)
         out.lines.append("setup samples: " + ", ".join(
             f"{s:.3f}s" for s, _ in samples))
+    n = len(jobs)
     rounds = []
+
+    def run_round():
+        r = _batch_round(ctx, jobs, groups, workers, host_work)
+        _check_round(out, f"round{len(rounds)}", r, n, functional)
+        if rounds:
+            # only the last round's runs are kept
+            del rounds[-1]["cold"]
+        rounds.append(r)
+
     started = time.perf_counter()
-    while not rounds or time.perf_counter() - started < ctx.seconds:
-        rounds.append(_batch_round(ctx, jobs, groups, workers))
+    while (len(rounds) < (1 if ctx.smoke else min_rounds)
+           or time.perf_counter() - started < ctx.seconds):
+        run_round()
         if ctx.trace:
             break
     if ctx.trace:
         ctx.tracer = Tracer(worker_dir=ctx.scratch("spans"))
         layers.install(ctx.tracer)
         try:
-            rounds.append(_batch_round(ctx, jobs, groups, workers))
+            run_round()
         finally:
             ctx.tracer.unwrap_all()
         ctx.tracer.collect_workers()
@@ -283,31 +304,10 @@ def batch_workload(ctx: Context, jobs, groups, workers: int,
         out.lines.append(f"cold pass at nominal host speed: "
                          f"{untraced:.3f}s untraced, {traced:.3f}s traced")
         out.metrics = metrics
-    n = len(jobs)
-    for i, r in enumerate(rounds):
-        phase = f"round{i}"
-        unverified = sum(1 for run in r["cold"] if not run.verified) \
-            if functional else 0
-        out.ledger.record(f"{phase}.cold", n, failed=unverified)
-        drifted = sum(1 for a, b in zip(r["cold"], r["warm"])
-                      if run_record(a) != run_record(b))
-        out.ledger.record(f"{phase}.warm", n, failed=drifted)
-        out.ledger.record(f"{phase}.lookup",
-                          sum(s["n"] for s, _ in r["slices"]))
-        out.check(f"{phase}: cold batch simulated every job",
-                  r["counters"].simulated == n,
-                  f"{r['counters'].simulated}/{n}")
-        if functional:
-            out.check(f"{phase}: every functional-tier run verified",
-                      unverified == 0, f"{unverified} unverified")
-        out.check(f"{phase}: warm payloads equal cold payloads",
-                  drifted == 0, f"{drifted} differ")
-        out.check(f"{phase}: warm replays and lookups simulated nothing",
-                  r["warm_simulated"] == 0)
-    digests = {digest(r["cold"]) for r in rounds}
+    digests = {r["digest"] for r in rounds}
     out.check("every round modelled the same results", len(digests) == 1)
     last = rounds[-1]
-    out.lines.append(f"simulated-statistics digest: {digest(last['cold'])}"
+    out.lines.append(f"simulated-statistics digest: {last['digest']}"
                      f" ({n} jobs)")
     if not ctx.trace:
         out.metrics, out.raw = _batch_metrics(rounds, samples, n)
@@ -318,8 +318,34 @@ def batch_workload(ctx: Context, jobs, groups, workers: int,
             f"{sum(s['n'] for r in rounds for s, _ in r['slices'])} "
             f"single-job lookups in {len(last['slices'])} slices per round,"
             f" tail = p{last['slices'][-1][0]['tail_pct']:g}; "
-            f"peak RSS {max(r['rss'] for r in rounds):.1f} MiB")
+            f"peak RSS {max(r['rss'] for r in rounds):.1f} MiB (this "
+            f"process {peak_rss_mb(children=False):.1f} MiB)")
     return out, last["cold"]
+
+
+def _check_round(out: Outcome, phase: str, r: dict, n: int,
+                 functional: bool) -> None:
+    """Ledger rows and output checks of one round; takes the digest of
+    its cold runs and drops its warm runs."""
+    unverified = sum(1 for run in r["cold"] if not run.verified) \
+        if functional else 0
+    out.ledger.record(f"{phase}.cold", n, failed=unverified)
+    drifted = sum(1 for a, b in zip(r["cold"], r.pop("warm"))
+                  if run_record(a) != run_record(b))
+    out.ledger.record(f"{phase}.warm", n, failed=drifted)
+    out.ledger.record(f"{phase}.lookup",
+                      sum(s["n"] for s, _ in r["slices"]))
+    out.check(f"{phase}: cold batch simulated every job",
+              r["counters"].simulated == n,
+              f"{r['counters'].simulated}/{n}")
+    if functional:
+        out.check(f"{phase}: every functional-tier run verified",
+                  unverified == 0, f"{unverified} unverified")
+    out.check(f"{phase}: warm payloads equal cold payloads",
+              drifted == 0, f"{drifted} differ")
+    out.check(f"{phase}: warm replays and lookups simulated nothing",
+              r["warm_simulated"] == 0)
+    r["digest"] = digest(r["cold"])
 
 
 def _batch_metrics(rounds, samples, n) -> tuple[dict, dict]:
@@ -338,7 +364,7 @@ def _batch_metrics(rounds, samples, n) -> tuple[dict, dict]:
         cold_s = fast_quartile([at(*c) for c in pooled("cold_equiv")])
         lookups = [pair[scaled] for pair in pooled("slices")]
         views.append({
-            "setup_s": fast_quartile([at(*c) for c in samples]),
+            "setup_s": median([at(*c) for c in samples]),
             "cold_jobs_per_s": n / cold_s,
             "warm_jobs_per_s": fast_quartile(
                 [1.0 / at(1.0 / rate, slowness)
@@ -350,6 +376,12 @@ def _batch_metrics(rounds, samples, n) -> tuple[dict, dict]:
             "peak_rss_mb": max(r["rss"] for r in rounds),
         })
     return views[0], views[1]
+
+
+def _instructions(run) -> float:
+    """Host work of a functional-tier job: its simulated instructions
+    (their interpretation is most of the job's time)."""
+    return float(run.stats.instructions)
 
 
 def _seeded(job, seed: int):
@@ -384,7 +416,8 @@ def fig4_detailed(ctx: Context) -> Outcome:
     # eight cold batches of whole layers (both kernels share operands)
     groups = groups_by(jobs, lambda job: job.shape, _gemm_cost, 8)
     out, runs = batch_workload(ctx, jobs, groups, ctx.workers,
-                               analytic=False, functional=True)
+                               analytic=False, functional=True,
+                               host_work=_instructions)
     totals = {}
     for spec, run in zip(specs, runs):
         key = (spec.nm, spec.kernel)
@@ -419,10 +452,11 @@ def replay_tall(ctx: Context) -> Outcome:
                                      else TALL_LAYERS)
             for nm in ((1, 4), (2, 4))
             for kernel in (BASELINE, PROPOSED)]
-    # three cold batches of two layers each, both tiers per layer
-    groups = groups_by(jobs, lambda job: job.seed, _gemm_cost, 3)
+    # six cold batches, one layer each with both tiers
+    groups = groups_by(jobs, lambda job: job.seed, _gemm_cost, 6)
     out, runs = batch_workload(ctx, jobs, groups, ctx.workers,
-                               analytic=False, functional=True)
+                               analytic=False, functional=True,
+                               host_work=_instructions)
     half = len(jobs) // 2
     same = all(a.stats.instructions == b.stats.instructions
                and a.stats.vector_mem_instrs == b.stats.vector_mem_instrs
@@ -438,23 +472,39 @@ def sweep_analytic(ctx: Context) -> Outcome:
     base = _job_set()[::48] if ctx.smoke else _job_set()
     jobs = [_seeded(job, job.seed + 16 * ctx.seed) for job in base]
     # one cold batch per (schedule, kernel): each compiles and profiles
-    # its own eighth of the trace geometries, so no work repeats
+    # its own eighth of the trace geometries, so no work repeats, and
+    # each group of 576 jobs stands for an equal share of the host work
     groups = groups_by(jobs, lambda job: (job.schedule, job.kernel),
                        lambda job: 1.0, 8)
+    # two rounds: eight cold groups alone left the fast quartile loose
     out, _ = batch_workload(ctx, jobs, groups, 1, analytic=True,
-                            functional=False)
+                            functional=False, min_rounds=2)
     return out
 
 
 # ----------------------------------------------------------------------
 # serve-mix: repro serve in its own process, open-loop generator here
 # ----------------------------------------------------------------------
-#: Arrival rates (requests/s) of the two open-loop phases, and the
-#: share of the run each phase takes.
-LOW_RATE, HIGH_RATE = 40.0, 120.0
-LOW_SHARE = 0.4
-#: Latency limit on the tail percentile for a rate to count as met.
+#: Closed-loop capacity (requests/s) of ``repro serve --jobs 1`` on
+#: this mix with one connection per CPU, as ``capacity.py`` measured it
+#: on a 2-vCPU x86-64 VM (three 5 s repeats: 624, 559, 542; median
+#: 559).  The traced run re-measures it as ``serve.capacity_rps``.
+CAPACITY_RPS = 560.0
+#: Arrival rates (requests/s) of the two open-loop phases: 0.3x and
+#: 0.9x capacity.  The low phase is the served latency a user sees with
+#: headroom (the end-to-end ``lat.*``); the high phase sits just below
+#: the knee, where queueing starts to dominate.
+LOW_RATE, HIGH_RATE = 0.3 * CAPACITY_RPS, 0.9 * CAPACITY_RPS
+#: Share of the run the low phase takes (its latencies are the
+#: end-to-end ones, so it gets the larger share).
+LOW_SHARE = 0.6
+#: Latency limit on the tail percentile for a rate to count as met:
+#: five times the tail measured at the low rate (p99 of 20-25 ms,
+#: set by one cold job's simulation plus the 5 ms batching window), so
+#: a rate passes while queueing at most quintuples the unloaded tail.
 LATENCY_LIMIT_MS = 100.0
+#: Seconds of the traced run's capacity re-measurement.
+CAPACITY_S = 3.0
 #: Consecutive windows a phase's latencies are summarized over.
 LATENCY_WINDOWS = 4
 #: One request in this many is a never-seen (cold) job.
@@ -462,6 +512,8 @@ COLD_EVERY = 10
 HOT_POOL = 16
 #: Served results re-run in process and compared field by field.
 VERIFY_SAMPLE = 8
+#: Request plan length and plan phase of the capacity measurement.
+CAPACITY_PLAN, CAPACITY_PHASE = 50_000, 9
 
 
 class _Server:
@@ -538,13 +590,14 @@ class _Requests:
             return "failed"
         results = reply.get("results") or [{}]
         result = results[0]
-        if (len(results) != 1 or "error" in result
-                or not result.get("verified")
-                or result.get("kernel") != job.kernel):
+        if len(results) == 1 and "error" in result:
+            # the server answered with a per-job error
             return "failed"
         want = self.expected.get(job)
-        if want is not None and result.get("cycles") != want:
-            return "failed"
+        if (len(results) != 1 or not result.get("verified")
+                or result.get("kernel") != job.kernel
+                or (want is not None and result.get("cycles") != want)):
+            return "wrong"
         self.results[job] = result
         return "ok"
 
@@ -563,23 +616,64 @@ def _phase_plan(ctx, phase: int, count: int, hot):
     return plan
 
 
-def _serve_pass(ctx: Context, server: _Server, out: Outcome):
-    """Prewarm, both open-loop phases, stats and the served-result
-    check against the same server; returns phase data."""
-    import loadgen
-
+def _prewarm(ctx: Context, client, out: Outcome):
+    """Submit the hot pool once; returns it and the prewarmed cycle
+    count of each hot job."""
     from bench_serve import _hot_pool
-    from repro.eval.engine import ExperimentEngine
-    from repro.serve import ServeClient
 
     hot = [_seeded(job, ctx.seed * 1000 + job.seed)
            for job in _hot_pool(HOT_POOL)]
-    client = ServeClient(server.url, timeout=READY_TIMEOUT)
     warmed = client.submit(hot)["results"]
     expected = {job: r["cycles"] for job, r in zip(hot, warmed)
                 if "error" not in r}
     out.ledger.record("prewarm", len(hot),
                       failed=len(hot) - len(expected))
+    return hot, expected
+
+
+def serve_capacity(ctx: Context, server: _Server, seconds: float,
+                   out: Outcome) -> float:
+    """Closed-loop capacity of ``server`` on the serve mix: completed
+    requests per second when each of ``ctx.workers`` connections sends
+    its next request as soon as its last one is answered."""
+    import loadgen
+
+    from repro.serve import ServeClient
+
+    with ServeClient(server.url, timeout=READY_TIMEOUT) as client:
+        hot, expected = _prewarm(ctx, client, out)
+    count = CAPACITY_PLAN
+    requests = _Requests(server.url,
+                         _phase_plan(ctx, CAPACITY_PHASE, count, hot),
+                         expected)
+    outcomes, elapsed = loadgen.closed_loop(requests, count, seconds,
+                                            senders=ctx.workers)
+    _record_phase(out, "capacity", outcomes)
+    return sum(o.status == "ok" for o in outcomes) / elapsed
+
+
+def _record_phase(out: Outcome, label: str, outcomes) -> None:
+    """Ledger row of one request phase; a wrong answer also fails the
+    run's served-results check."""
+    count = {status: sum(o.status == status for o in outcomes)
+             for status in ("failed", "wrong", "refused")}
+    out.ledger.record(label, len(outcomes),
+                      failed=count["failed"] + count["wrong"],
+                      refused=count["refused"])
+    out.check(f"{label}: every served result verified and unchanged",
+              count["wrong"] == 0, f"{count['wrong']} wrong")
+
+
+def _serve_pass(ctx: Context, server: _Server, out: Outcome):
+    """Prewarm, both open-loop phases, stats and the served-result
+    check against the same server; returns phase data."""
+    import loadgen
+
+    from repro.eval.engine import ExperimentEngine
+    from repro.serve import ServeClient
+
+    client = ServeClient(server.url, timeout=READY_TIMEOUT)
+    hot, expected = _prewarm(ctx, client, out)
     phases = {}
     for phase, (label, rate, share) in enumerate(
             (("low", LOW_RATE, LOW_SHARE),
@@ -590,10 +684,7 @@ def _serve_pass(ctx: Context, server: _Server, out: Outcome):
         with ctx.span(f"phase.{label}"):
             outcomes = loadgen.open_loop(requests, count, rate,
                                          senders=ctx.workers)
-        out.ledger.record(
-            label, count,
-            failed=sum(o.status == "failed" for o in outcomes),
-            refused=sum(o.status == "refused" for o in outcomes))
+        _record_phase(out, label, outcomes)
         phases[label] = (rate, outcomes, requests.results)
     stats = client.stats()
 
@@ -653,7 +744,9 @@ def serve_mix(ctx: Context) -> Outcome:
     if ctx.trace:
         # untraced pass first: the trace overhead's reference
         server = _Server(ctx, "serve-untraced")
-        untraced, _, _ = _serve_pass(ctx, server, Outcome())
+        untraced, _, _ = _serve_pass(ctx, server, out)
+        capacity = serve_capacity(
+            ctx, server, 0.2 if ctx.smoke else CAPACITY_S, out)
         server.stop()
         ctx.tracer = Tracer()
         from repro.serve import ServeClient
@@ -662,10 +755,10 @@ def serve_mix(ctx: Context) -> Outcome:
         server = _Server(ctx, "serve", traced=True)
     else:
         samples = []
-        for i in range(SETUP_SAMPLES):
+        for i in range(ctx.setup_samples):
             server = _Server(ctx, f"serve-{i}")
             samples.append(server.setup_s)
-            if i < SETUP_SAMPLES - 1:
+            if i < ctx.setup_samples - 1:
                 server.stop()
         out.lines.append("setup samples: " + ", ".join(
             f"{s:.3f}s" for s in samples))
@@ -699,14 +792,14 @@ def serve_mix(ctx: Context) -> Outcome:
         # server process, and host readings taken in this process
         # widened the run-to-run spread instead of narrowing it
         out.metrics = {
-            "setup_s": fast_quartile(samples),
+            "setup_s": median(samples),
             "cold_jobs_per_s": counters["simulated"] / cold_s,
             "warm_jobs_per_s": ((counters["disk_hits"]
                                  + counters["memo_hits"])
                                 / counters["warm_seconds"]),
             "sim_instr_per_s": counters["sim_instructions"] / cold_s,
-            "lat.p50_ms": summaries["high"]["fast_p50_ms"],
-            "lat.tail_ms": summaries["high"]["fast_tail_ms"],
+            "lat.p50_ms": summaries["low"]["fast_p50_ms"],
+            "lat.tail_ms": summaries["low"]["fast_tail_ms"],
             "peak_rss_mb": report["maxrss_kib"] / 1024.0,
         }
         return out
@@ -723,6 +816,7 @@ def serve_mix(ctx: Context) -> Outcome:
     latency = stats["latency_ms"]
     metrics.update({
         "eval.pool.spawns": counters["pool_spawns"],
+        "serve.capacity_rps": capacity,
         "serve.client.rtt_ms": _median_rtt(phases) * 1e3,
         "serve.server.warm_ms": latency["warm"]["p50"],
         "serve.server.interactive_ms": latency["interactive"]["p50"],

@@ -24,8 +24,13 @@ class SetAssociativeCache:
         self.name = name
         self.config = config
         self.next_level = next_level
+        # geometry, computed once (``access`` is the simulator's
+        # hottest memory-model call)
+        self.num_sets = config.num_sets
+        self.line_bytes = config.line_bytes
+        self.hashed_index = config.hashed_index
         self._sets: list[OrderedDict] = [
-            OrderedDict() for _ in range(config.num_sets)]
+            OrderedDict() for _ in range(self.num_sets)]
         self._bank_free = [0.0] * config.banks
         self.hits = 0
         self.misses = 0
@@ -35,11 +40,12 @@ class SetAssociativeCache:
     def access(self, addr: int, at_cycle: float, is_write: bool) -> float:
         """One request for the line containing ``addr``; returns completion."""
         cfg = self.config
-        line = addr // cfg.line_bytes
-        if cfg.hashed_index:
-            set_idx = (line ^ (line // cfg.num_sets)) % cfg.num_sets
+        line = addr // self.line_bytes
+        num_sets = self.num_sets
+        if self.hashed_index:
+            set_idx = (line ^ (line // num_sets)) % num_sets
         else:
-            set_idx = line % cfg.num_sets
+            set_idx = line % num_sets
         bank = line % cfg.banks
         start = at_cycle
         free = self._bank_free[bank]
@@ -82,12 +88,11 @@ class SetAssociativeCache:
         probe.  Used by the batch-replay timing backend to stream a
         whole chunk of replayed loop iterations through the hierarchy.
         """
-        cfg = self.config
         sets = self._sets
-        num_sets = cfg.num_sets
-        max_ways = cfg.ways
-        line_bytes = cfg.line_bytes
-        hashed = cfg.hashed_index
+        num_sets = self.num_sets
+        max_ways = self.config.ways
+        line_bytes = self.line_bytes
+        hashed = self.hashed_index
 
         def probe(addr: int, is_write: bool) -> None:
             line = addr // line_bytes
@@ -116,12 +121,12 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> bool:
         """Tag probe without side effects (for tests)."""
-        cfg = self.config
-        line = addr // cfg.line_bytes
-        if cfg.hashed_index:
-            set_idx = (line ^ (line // cfg.num_sets)) % cfg.num_sets
+        line = addr // self.line_bytes
+        num_sets = self.num_sets
+        if self.hashed_index:
+            set_idx = (line ^ (line // num_sets)) % num_sets
         else:
-            set_idx = line % cfg.num_sets
+            set_idx = line % num_sets
         return line in self._sets[set_idx]
 
     @property

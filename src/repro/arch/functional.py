@@ -48,21 +48,40 @@ class FunctionalCore:
         self.frf = FpRegisterFile()
         vcfg = self.config.vector
         self.vrf = VectorRegisterFile(vcfg.num_vregs, vcfg.vlmax)
+        #: per-register views of the first ``vl`` elements (raw, int32,
+        #: float32), refreshed in place whenever ``vl`` changes
+        self._raw_v: list[np.ndarray] = []
+        self._i32_v: list[np.ndarray] = []
+        self._f32_v: list[np.ndarray] = []
         self.vl = vcfg.vlmax
-        self.handlers = self._build_handlers()
+
+    @property
+    def vl(self) -> int:
+        """The current vector length (set by ``vsetvli``)."""
+        return self._vl
+
+    @vl.setter
+    def vl(self, value: int) -> None:
+        self._vl = value
+        vrf = self.vrf
+        self._raw_v[:] = vrf.raw[:, :value]
+        self._i32_v[:] = vrf.i32[:, :value]
+        self._f32_v[:] = vrf.f32[:, :value]
+        #: scratch row for products formed before an accumulate
+        self._product = np.empty_like(self._f32_v[0])
 
     # ==================================================================
     # public API
     # ==================================================================
     def execute(self, instr: Instr):
         """Execute one instruction; returns control-flow info."""
-        return self.handlers[instr.op](instr)
+        return self.handlers[instr.op](self, instr)
 
     def run(self, stream) -> None:
         """Execute a dynamic stream functionally (trace mode)."""
         handlers = self.handlers
         for instr in stream:
-            handlers[instr.op](instr)
+            handlers[instr.op](self, instr)
 
     def state_fingerprint(self) -> str:
         """Digest over all architectural state (registers + memory).
@@ -82,116 +101,120 @@ class FunctionalCore:
     # ==================================================================
     # handler construction
     # ==================================================================
-    def _build_handlers(self):
+    @classmethod
+    def _build_handlers(cls):
+        """Opcode -> ``handler(core, instr)``."""
         h = {}
         # scalar ALU register-register
-        h[Op.ADD] = self._make_alu_rr(lambda a, b: a + b)
-        h[Op.SUB] = self._make_alu_rr(lambda a, b: a - b)
-        h[Op.AND] = self._make_alu_rr(lambda a, b: a & b)
-        h[Op.OR] = self._make_alu_rr(lambda a, b: a | b)
-        h[Op.XOR] = self._make_alu_rr(lambda a, b: a ^ b)
-        h[Op.SLL] = self._make_alu_rr(lambda a, b: a << (b & 63))
-        h[Op.SRL] = self._make_alu_rr(
+        h[Op.ADD] = cls._make_alu_rr(lambda a, b: a + b)
+        h[Op.SUB] = cls._make_alu_rr(lambda a, b: a - b)
+        h[Op.AND] = cls._make_alu_rr(lambda a, b: a & b)
+        h[Op.OR] = cls._make_alu_rr(lambda a, b: a | b)
+        h[Op.XOR] = cls._make_alu_rr(lambda a, b: a ^ b)
+        h[Op.SLL] = cls._make_alu_rr(lambda a, b: a << (b & 63))
+        h[Op.SRL] = cls._make_alu_rr(
             lambda a, b: to_unsigned64(a) >> (b & 63))
-        h[Op.SRA] = self._make_alu_rr(lambda a, b: a >> (b & 63))
-        h[Op.SLT] = self._make_alu_rr(lambda a, b: int(a < b))
-        h[Op.SLTU] = self._make_alu_rr(
+        h[Op.SRA] = cls._make_alu_rr(lambda a, b: a >> (b & 63))
+        h[Op.SLT] = cls._make_alu_rr(lambda a, b: int(a < b))
+        h[Op.SLTU] = cls._make_alu_rr(
             lambda a, b: int(to_unsigned64(a) < to_unsigned64(b)))
-        h[Op.MUL] = self._make_alu_rr(lambda a, b: a * b)
+        h[Op.MUL] = cls._make_alu_rr(lambda a, b: a * b)
         # scalar ALU immediate
-        h[Op.ADDI] = self._make_alu_ri(lambda a, i: a + i)
-        h[Op.ANDI] = self._make_alu_ri(lambda a, i: a & i)
-        h[Op.ORI] = self._make_alu_ri(lambda a, i: a | i)
-        h[Op.XORI] = self._make_alu_ri(lambda a, i: a ^ i)
-        h[Op.SLLI] = self._make_alu_ri(lambda a, i: a << i)
-        h[Op.SRLI] = self._make_alu_ri(lambda a, i: to_unsigned64(a) >> i)
-        h[Op.SRAI] = self._make_alu_ri(lambda a, i: a >> i)
-        h[Op.SLTI] = self._make_alu_ri(lambda a, i: int(a < i))
-        h[Op.SLTIU] = self._make_alu_ri(
+        h[Op.ADDI] = cls._make_alu_ri(lambda a, i: a + i)
+        h[Op.ANDI] = cls._make_alu_ri(lambda a, i: a & i)
+        h[Op.ORI] = cls._make_alu_ri(lambda a, i: a | i)
+        h[Op.XORI] = cls._make_alu_ri(lambda a, i: a ^ i)
+        h[Op.SLLI] = cls._make_alu_ri(lambda a, i: a << i)
+        h[Op.SRLI] = cls._make_alu_ri(lambda a, i: to_unsigned64(a) >> i)
+        h[Op.SRAI] = cls._make_alu_ri(lambda a, i: a >> i)
+        h[Op.SLTI] = cls._make_alu_ri(lambda a, i: int(a < i))
+        h[Op.SLTIU] = cls._make_alu_ri(
             lambda a, i: int(to_unsigned64(a) < to_unsigned64(i)))
-        h[Op.LUI] = self._lui
-        h[Op.AUIPC] = self._lui  # pc-relative not used in trace mode
+        h[Op.LUI] = cls._lui
+        h[Op.AUIPC] = cls._lui  # pc-relative not used in trace mode
         # scalar memory
         for op in (Op.LB, Op.LBU, Op.LH, Op.LHU, Op.LW, Op.LWU, Op.LD):
-            h[op] = self._scalar_load
-        h[Op.FLW] = self._scalar_load_fp
+            h[op] = cls._scalar_load
+        h[Op.FLW] = cls._scalar_load_fp
         for op in (Op.SB, Op.SH, Op.SW, Op.SD):
-            h[op] = self._scalar_store
-        h[Op.FSW] = self._scalar_store_fp
+            h[op] = cls._scalar_store
+        h[Op.FSW] = cls._scalar_store_fp
         # control flow
         for op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-            h[op] = self._branch
-        h[Op.JAL] = self._jal
-        h[Op.JALR] = self._jalr
+            h[op] = cls._branch
+        h[Op.JAL] = cls._jal
+        h[Op.JALR] = cls._jalr
         # vector
-        h[Op.VSETVLI] = self._vsetvli
-        h[Op.VLE32] = self._vle32
-        h[Op.VSE32] = self._vse32
-        h[Op.VADD_VX] = self._make_vx_i32(lambda a, s: a + s)
-        h[Op.VADD_VI] = self._make_vi_i32(lambda a, s: a + s)
-        h[Op.VADD_VV] = self._make_vv_i32(lambda a, b: a + b)
-        h[Op.VMUL_VX] = self._make_vx_i32(lambda a, s: a * s)
-        h[Op.VFMACC_VF] = self._vfmacc_vf
-        h[Op.VFMACC_VV] = self._vfmacc_vv
-        h[Op.VFMUL_VF] = self._make_vf_f32(lambda a, s: a * s)
-        h[Op.VSLIDE1DOWN_VX] = self._vslide1down_vx
-        h[Op.VSLIDEDOWN_VX] = self._vslidedown_vx
-        h[Op.VSLIDEDOWN_VI] = self._vslidedown_vi
-        h[Op.VMV_V_I] = self._vmv_v_i
-        h[Op.VMV_V_X] = self._vmv_v_x
-        h[Op.VMV_V_V] = self._vmv_v_v
-        h[Op.VMV_X_S] = self._vmv_x_s
-        h[Op.VFMV_F_S] = self._vfmv_f_s
-        h[Op.VFMV_S_F] = self._vfmv_s_f
-        h[Op.VINDEXMAC_VX] = self._vindexmac_vx
+        h[Op.VSETVLI] = cls._vsetvli
+        h[Op.VLE32] = cls._vle32
+        h[Op.VSE32] = cls._vse32
+        h[Op.VADD_VX] = cls._make_vx_i32(lambda a, s: a + s)
+        h[Op.VADD_VI] = cls._make_vi_i32(lambda a, s: a + s)
+        h[Op.VADD_VV] = cls._make_vv_i32(lambda a, b: a + b)
+        h[Op.VMUL_VX] = cls._make_vx_i32(lambda a, s: a * s)
+        h[Op.VFMACC_VF] = cls._vfmacc_vf
+        h[Op.VFMACC_VV] = cls._vfmacc_vv
+        h[Op.VFMUL_VF] = cls._make_vf_f32(lambda a, s: a * s)
+        h[Op.VSLIDE1DOWN_VX] = cls._vslide1down_vx
+        h[Op.VSLIDEDOWN_VX] = cls._vslidedown_vx
+        h[Op.VSLIDEDOWN_VI] = cls._vslidedown_vi
+        h[Op.VMV_V_I] = cls._vmv_v_i
+        h[Op.VMV_V_X] = cls._vmv_v_x
+        h[Op.VMV_V_V] = cls._vmv_v_v
+        h[Op.VMV_X_S] = cls._vmv_x_s
+        h[Op.VFMV_F_S] = cls._vfmv_f_s
+        h[Op.VFMV_S_F] = cls._vfmv_s_f
+        h[Op.VINDEXMAC_VX] = cls._vindexmac_vx
         # wider RVV subset (elementwise, generated handlers)
-        h[Op.VSUB_VV] = self._make_vv_i32(lambda a, b: a - b)
-        h[Op.VSUB_VX] = self._make_vx_i32(lambda a, s: a - s)
-        h[Op.VRSUB_VX] = self._make_vx_i32(lambda a, s: s - a)
-        h[Op.VRSUB_VI] = self._make_vi_i32(lambda a, s: s - a)
-        h[Op.VAND_VV] = self._make_vv_i32(lambda a, b: a & b)
-        h[Op.VAND_VX] = self._make_vx_i32(lambda a, s: a & s)
-        h[Op.VOR_VV] = self._make_vv_i32(lambda a, b: a | b)
-        h[Op.VOR_VX] = self._make_vx_i32(lambda a, s: a | s)
-        h[Op.VXOR_VV] = self._make_vv_i32(lambda a, b: a ^ b)
-        h[Op.VXOR_VX] = self._make_vx_i32(lambda a, s: a ^ s)
-        h[Op.VMIN_VV] = self._make_vv_i32(np.minimum)
-        h[Op.VMIN_VX] = self._make_vx_i32(np.minimum)
-        h[Op.VMAX_VV] = self._make_vv_i32(np.maximum)
-        h[Op.VMAX_VX] = self._make_vx_i32(np.maximum)
-        h[Op.VMINU_VV] = self._make_vv_u32(np.minimum)
-        h[Op.VMINU_VX] = self._make_vx_u32(np.minimum)
-        h[Op.VMAXU_VV] = self._make_vv_u32(np.maximum)
-        h[Op.VMAXU_VX] = self._make_vx_u32(np.maximum)
-        h[Op.VMUL_VV] = self._make_vv_i32(lambda a, b: a * b)
-        h[Op.VMACC_VV] = self._vmacc_vv
-        h[Op.VMACC_VX] = self._vmacc_vx
-        h[Op.VREDSUM_VS] = self._vredsum_vs
-        h[Op.VFADD_VV] = self._make_vv_f32(lambda a, b: a + b)
-        h[Op.VFADD_VF] = self._make_vf_f32(lambda a, s: a + s)
-        h[Op.VFSUB_VV] = self._make_vv_f32(lambda a, b: a - b)
-        h[Op.VFSUB_VF] = self._make_vf_f32(lambda a, s: a - s)
-        h[Op.VFMUL_VV] = self._make_vv_f32(lambda a, b: a * b)
-        h[Op.VFREDUSUM_VS] = self._vfredusum_vs
-        h[Op.VSLIDEUP_VX] = self._vslideup_vx
-        h[Op.VSLIDEUP_VI] = self._vslideup_vi
-        h[Op.VSLIDE1UP_VX] = self._vslide1up_vx
-        h[Op.VMV_S_X] = self._vmv_s_x
-        h[Op.VID_V] = self._vid_v
+        h[Op.VSUB_VV] = cls._make_vv_i32(lambda a, b: a - b)
+        h[Op.VSUB_VX] = cls._make_vx_i32(lambda a, s: a - s)
+        h[Op.VRSUB_VX] = cls._make_vx_i32(lambda a, s: s - a)
+        h[Op.VRSUB_VI] = cls._make_vi_i32(lambda a, s: s - a)
+        h[Op.VAND_VV] = cls._make_vv_i32(lambda a, b: a & b)
+        h[Op.VAND_VX] = cls._make_vx_i32(lambda a, s: a & s)
+        h[Op.VOR_VV] = cls._make_vv_i32(lambda a, b: a | b)
+        h[Op.VOR_VX] = cls._make_vx_i32(lambda a, s: a | s)
+        h[Op.VXOR_VV] = cls._make_vv_i32(lambda a, b: a ^ b)
+        h[Op.VXOR_VX] = cls._make_vx_i32(lambda a, s: a ^ s)
+        h[Op.VMIN_VV] = cls._make_vv_i32(np.minimum)
+        h[Op.VMIN_VX] = cls._make_vx_i32(np.minimum)
+        h[Op.VMAX_VV] = cls._make_vv_i32(np.maximum)
+        h[Op.VMAX_VX] = cls._make_vx_i32(np.maximum)
+        h[Op.VMINU_VV] = cls._make_vv_u32(np.minimum)
+        h[Op.VMINU_VX] = cls._make_vx_u32(np.minimum)
+        h[Op.VMAXU_VV] = cls._make_vv_u32(np.maximum)
+        h[Op.VMAXU_VX] = cls._make_vx_u32(np.maximum)
+        h[Op.VMUL_VV] = cls._make_vv_i32(lambda a, b: a * b)
+        h[Op.VMACC_VV] = cls._vmacc_vv
+        h[Op.VMACC_VX] = cls._vmacc_vx
+        h[Op.VREDSUM_VS] = cls._vredsum_vs
+        h[Op.VFADD_VV] = cls._make_vv_f32(lambda a, b: a + b)
+        h[Op.VFADD_VF] = cls._make_vf_f32(lambda a, s: a + s)
+        h[Op.VFSUB_VV] = cls._make_vv_f32(lambda a, b: a - b)
+        h[Op.VFSUB_VF] = cls._make_vf_f32(lambda a, s: a - s)
+        h[Op.VFMUL_VV] = cls._make_vv_f32(lambda a, b: a * b)
+        h[Op.VFREDUSUM_VS] = cls._vfredusum_vs
+        h[Op.VSLIDEUP_VX] = cls._vslideup_vx
+        h[Op.VSLIDEUP_VI] = cls._vslideup_vi
+        h[Op.VSLIDE1UP_VX] = cls._vslide1up_vx
+        h[Op.VMV_S_X] = cls._vmv_s_x
+        h[Op.VID_V] = cls._vid_v
         return h
 
     # ==================================================================
     # scalar handlers
     # ==================================================================
-    def _make_alu_rr(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_alu_rr(fn):
+        def handler(self, instr: Instr):
             xv = self.xrf.values
             self.xrf.write(instr.rd, fn(xv[instr.rs1], xv[instr.rs2]))
             return None
         return handler
 
-    def _make_alu_ri(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_alu_ri(fn):
+        def handler(self, instr: Instr):
             self.xrf.write(instr.rd, fn(self.xrf.values[instr.rs1],
                                         instr.imm))
             return None
@@ -291,33 +314,46 @@ class FunctionalCore:
 
     def _vle32(self, instr: Instr):
         addr = self.xrf.values[instr.rs1]
-        self.vrf.raw[instr.vd, :self.vl] = self.mem.load_vec_u32(addr,
-                                                                 self.vl)
+        vl = self._vl
+        words = self.mem.words
+        if addr & 3 or addr < 0 or addr + 4 * vl > 4 * len(words):
+            # unaligned or out of range: the checked byte path
+            self._raw_v[instr.vd][:] = self.mem.load_vec_u32(addr, vl)
+        else:
+            self._raw_v[instr.vd][:] = words[addr >> 2:(addr >> 2) + vl]
         return None
 
     def _vse32(self, instr: Instr):
         addr = self.xrf.values[instr.rs1]
-        self.mem.store_vec_u32(addr, self.vrf.raw[instr.vd, :self.vl])
+        vl = self._vl
+        words = self.mem.words
+        if addr & 3 or addr < 0 or addr + 4 * vl > 4 * len(words):
+            self.mem.store_vec_u32(addr, self._raw_v[instr.vd])
+        else:
+            words[addr >> 2:(addr >> 2) + vl] = self._raw_v[instr.vd]
         return None
 
-    def _make_vv_i32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vv_i32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             i32 = self.vrf.i32
             i32[instr.vd, :vl] = fn(i32[instr.vs2, :vl], i32[instr.vs1, :vl])
             return None
         return handler
 
-    def _make_vv_u32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vv_u32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             raw = self.vrf.raw
             raw[instr.vd, :vl] = fn(raw[instr.vs2, :vl], raw[instr.vs1, :vl])
             return None
         return handler
 
-    def _make_vx_i32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vx_i32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             value = _i32(self.xrf.values[instr.rs1])
             i32 = self.vrf.i32
@@ -325,8 +361,9 @@ class FunctionalCore:
             return None
         return handler
 
-    def _make_vx_u32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vx_u32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             value = np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
             raw = self.vrf.raw
@@ -334,24 +371,27 @@ class FunctionalCore:
             return None
         return handler
 
-    def _make_vi_i32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vi_i32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             i32 = self.vrf.i32
             i32[instr.vd, :vl] = fn(i32[instr.vs2, :vl], np.int32(instr.imm))
             return None
         return handler
 
-    def _make_vv_f32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vv_f32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             f32 = self.vrf.f32
             f32[instr.vd, :vl] = fn(f32[instr.vs2, :vl], f32[instr.vs1, :vl])
             return None
         return handler
 
-    def _make_vf_f32(self, fn):
-        def handler(instr: Instr):
+    @staticmethod
+    def _make_vf_f32(fn):
+        def handler(self, instr: Instr):
             vl = self.vl
             scalar = np.float32(self.frf.values[instr.rs1])
             f32 = self.vrf.f32
@@ -360,9 +400,11 @@ class FunctionalCore:
         return handler
 
     def _vfmacc_vf(self, instr: Instr):
-        vl = self.vl
-        scalar = np.float32(self.frf.values[instr.rs1])
-        self.vrf.f32[instr.vd, :vl] += scalar * self.vrf.f32[instr.vs2, :vl]
+        product = self._product
+        np.multiply(np.float32(self.frf.values[instr.rs1]),
+                    self._f32_v[instr.vs2], out=product)
+        vd = self._f32_v[instr.vd]
+        np.add(vd, product, out=vd)
         return None
 
     def _vfmacc_vv(self, instr: Instr):
@@ -400,12 +442,9 @@ class FunctionalCore:
         return None
 
     def _vslide1down_vx(self, instr: Instr):
-        vl = self.vl
-        raw = self.vrf.raw
-        fill = np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
-        src = raw[instr.vs2, :vl]
-        raw[instr.vd, :vl - 1] = src[1:vl]
-        raw[instr.vd, vl - 1] = fill
+        vd = self._raw_v[instr.vd]
+        vd[:-1] = self._raw_v[instr.vs2][1:]  # overlap-safe view copy
+        vd[-1] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
         return None
 
     def _vslidedown_common(self, instr: Instr, amount: int):
@@ -419,7 +458,9 @@ class FunctionalCore:
             raw[instr.vd, vl - amount:vl] = 0
 
     def _vslidedown_vx(self, instr: Instr):
-        self._vslidedown_common(instr, self.xrf.values[instr.rs1])
+        # the offset is XLEN-unsigned: x = -1 slides everything out
+        self._vslidedown_common(instr,
+                                to_unsigned64(self.xrf.values[instr.rs1]))
         return None
 
     def _vslidedown_vi(self, instr: Instr):
@@ -435,7 +476,9 @@ class FunctionalCore:
             raw[instr.vd, amount:vl] = src
 
     def _vslideup_vx(self, instr: Instr):
-        self._vslideup_common(instr, self.xrf.values[instr.rs1])
+        # the offset is XLEN-unsigned: x = -1 leaves vd unchanged
+        self._vslideup_common(instr,
+                              to_unsigned64(self.xrf.values[instr.rs1]))
         return None
 
     def _vslideup_vi(self, instr: Instr):
@@ -468,11 +511,12 @@ class FunctionalCore:
         return None
 
     def _vmv_x_s(self, instr: Instr):
-        self.xrf.write(instr.rd, int(self.vrf.i32[instr.vs2, 0]))
+        if instr.rd:
+            self.xrf.values[instr.rd] = self._i32_v[instr.vs2].item(0)
         return None
 
     def _vfmv_f_s(self, instr: Instr):
-        self.frf.write(instr.rd, float(self.vrf.f32[instr.vs2, 0]))
+        self.frf.values[instr.rd] = self._f32_v[instr.vs2].item(0)
         return None
 
     def _vfmv_s_f(self, instr: Instr):
@@ -486,12 +530,19 @@ class FunctionalCore:
 
     def _vindexmac_vx(self, instr: Instr):
         """``vd[i] += vs2[0] * vrf[rs1[4:0]][i]`` (paper Section III-A)."""
-        index = self.xrf.values[instr.rs1] & 0x1F
-        vl = self.vl
-        f32 = self.vrf.f32
-        f32[instr.vd, :vl] += f32[instr.vs2, 0] * f32[index, :vl]
+        f32 = self._f32_v
+        product = self._product
+        np.multiply(f32[instr.vs2][0], f32[self.xrf.values[instr.rs1] & 0x1F],
+                    out=product)
+        vd = f32[instr.vd]
+        np.add(vd, product, out=vd)
         return None
 
+
+#: opcode -> ``handler(core, instr)``, shared by every core: holding no
+#: core keeps cores free of reference cycles, so a finished job's
+#: memory image is released as soon as its last reference goes.
+FunctionalCore.handlers = FunctionalCore._build_handlers()
 
 #: Bytes moved per scalar memory op, FP included — the shared vocabulary
 #: of the replaying backends and the loop-summary pass (trace/analytic).

@@ -44,7 +44,7 @@ class MemoryHierarchy:
     @staticmethod
     def _spanning(cache: SetAssociativeCache, addr: int, size: int,
                   at_cycle: float, is_write: bool) -> float:
-        line = cache.config.line_bytes
+        line = cache.line_bytes
         first = addr // line
         last = (addr + size - 1) // line
         done = cache.access(addr, at_cycle, is_write)

@@ -20,6 +20,8 @@ class FlatMemory:
             raise SimulationError("memory size must be positive")
         self.size = size_bytes
         self._buf = np.zeros(size_bytes, dtype=np.uint8)
+        #: the same bytes as 32-bit words (word-aligned vector fast path)
+        self.words = self._buf[:size_bytes & ~3].view(np.uint32)
         # Address 0 is kept unmapped so that stray null pointers fault.
         self._alloc_ptr = 64
 

@@ -142,11 +142,10 @@ class CompressedReplayBackend(TimingBackend):
         """Time a node sequence in detail (compressing steady loops);
         returns how many instructions received detailed timing."""
         timed = 0
-        step = proc.step
+        run_block = proc.run_block
         for node in nodes:
             if type(node) is Block:
-                for instr in node.instrs:
-                    step(instr)
+                run_block(node)
                 timed += len(node.instrs)
             else:
                 timed += self._time_loop(proc, node)

@@ -1,8 +1,10 @@
 """The detailed backend: every dynamic instruction gets full timing.
 
-This is the original behaviour of the simulator — the trace is expanded
-to its flat stream and every instruction pays dispatch, issue, memory
-and dependency modelling.  It is the accuracy reference the
+This is the original behaviour of the simulator — every dynamic
+instruction pays dispatch, issue, memory and dependency modelling.  The
+trace's structure is walked directly: each Block runs as a pre-bound
+list of fused handlers and Loops repeat those lists (see
+:meth:`~repro.arch.processor.DecoupledProcessor.run_nodes`).  It is the accuracy reference the
 ``compressed-replay`` backend is validated against.
 """
 
@@ -17,6 +19,6 @@ class DetailedBackend(TimingBackend):
     name = "detailed"
 
     def run(self, proc, trace) -> BackendResult:
-        proc.run(trace.instructions())
+        proc.run_nodes(trace.nodes)
         stats = proc.stats()
         return self.record(stats, stats.instructions, stats.instructions)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 
+from repro.errors import EncodingError
 from repro.isa import registers as _regs
 
 
@@ -281,6 +282,14 @@ def _v(idx_or_name) -> int:
     return int(idx_or_name)
 
 
+def _uimm5(imm) -> int:
+    """A slide amount immediate: unsigned, 5 bits (as the encoder)."""
+    imm = int(imm)
+    if not 0 <= imm <= 31:
+        raise EncodingError(f"slide immediate {imm} out of range [0, 31]")
+    return imm
+
+
 class I:
     """Constructor helpers: ``I.addi("t0", "t0", 4)``, ``I.vle32(4, "a1")``.
 
@@ -535,7 +544,8 @@ class I:
 
     @staticmethod
     def vslidedown_vi(vd, vs2, imm):
-        return Instr(Op.VSLIDEDOWN_VI, vd=_v(vd), vs2=_v(vs2), imm=int(imm))
+        return Instr(Op.VSLIDEDOWN_VI, vd=_v(vd), vs2=_v(vs2),
+                     imm=_uimm5(imm))
 
     @staticmethod
     def vmv_v_i(vd, imm):
@@ -697,7 +707,7 @@ class I:
 
     @staticmethod
     def vslideup_vi(vd, vs2, imm):
-        return Instr(Op.VSLIDEUP_VI, vd=_v(vd), vs2=_v(vs2), imm=int(imm))
+        return Instr(Op.VSLIDEUP_VI, vd=_v(vd), vs2=_v(vs2), imm=_uimm5(imm))
 
     @staticmethod
     def vslide1up_vx(vd, vs2, rs1):

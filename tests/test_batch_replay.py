@@ -162,6 +162,43 @@ def test_unbatchable_body_falls_back_to_per_instruction_replay():
     assert bres.stats.cycles == pytest.approx(cres.stats.cycles)
 
 
+def test_negative_slide_offset_agrees_through_batch_fallback():
+    """x[rs1] = -1 is an XLEN-unsigned (huge) slide offset.  The batch
+    compiler refuses negative offsets, so the replayed middles fall back
+    to the sequential functional core — whose answer (slidedown zeroes
+    vd, slideup keeps it) must match compressed-replay and detailed."""
+    vle, vse = Instr(Op.VLE32, vd=2, rs1=5), Instr(Op.VSE32, vd=3, rs1=6)
+    body = [vle,
+            Instr(Op.VSLIDEDOWN_VX, vd=3, vs2=2, rs1=7),
+            Instr(Op.VSLIDEUP_VX, vd=4, vs2=2, rs1=7),
+            Instr(Op.VADD_VV, vd=3, vs2=3, vs1=4),
+            vse,
+            Instr(Op.ADDI, rd=5, rs1=5, imm=64),
+            Instr(Op.ADDI, rd=6, rs1=6, imm=64)]
+    body += [Instr(Op.ADDI, rd=9, rs1=9, imm=1)] * (32 - len(body))
+    trace = Trace(nodes=(
+        Block(instrs=(Instr(Op.ADDI, rd=5, rs1=0, imm=4096),
+                      Instr(Op.ADDI, rd=6, rs1=0, imm=65536),
+                      Instr(Op.ADDI, rd=7, rs1=0, imm=-1),
+                      Instr(Op.VMV_V_I, vd=4, imm=5))),
+        Loop(body=(Block(instrs=tuple(body)),), repeat=64),
+    ))
+    compressed, batch = paired_backends()
+    cproc, cres = run_trace(compressed, trace)
+    bproc, bres = run_trace(batch, trace)
+    dproc, _ = run_trace(get_backend("detailed"), trace)
+    assert any(program is not None and program.failures
+               for _, program in batch._programs.values())
+    for proc in (bproc, dproc):
+        assert proc.core.state_fingerprint() == \
+            cproc.core.state_fingerprint()
+        assert counters_sans_cycles(proc) == counters_sans_cycles(cproc)
+    assert bres.stats.cycles == pytest.approx(cres.stats.cycles)
+    # every stored row is vslidedown's zeros plus vslideup's untouched 5s
+    stored = bproc.mem.read_array(65536, np.int32, (64, 16))
+    np.testing.assert_array_equal(stored, 5)
+
+
 def test_registry_exposes_batch_backend():
     cls = get_backend_class("batch-replay")
     assert cls is BatchReplayBackend

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch import DecoupledProcessor, ProcessorConfig
-from repro.errors import DecodingError
+from repro.errors import DecodingError, EncodingError
 from repro.isa import I, assemble, decode, encode
 
 VL = 16
@@ -204,6 +204,29 @@ def test_slideup_family(proc):
     proc.run([I.li("t1", 77), I.vslide1up_vx(5, 2, "t1")])
     assert proc.vrf.i32[5, 0] == 77
     np.testing.assert_array_equal(proc.vrf.i32[5, 1:], a[:VL - 1])
+
+
+def test_negative_slide_offsets_are_xlen_unsigned(proc):
+    """RVV reads the .vx slide offset as an unsigned XLEN value, so
+    x[rs1] = -1 is a huge slide: slidedown zeroes vd[0:vl] and slideup
+    leaves vd untouched (no broadcast, no host exception)."""
+    a = np.arange(1, VL + 1, dtype=np.int32)
+    proc.vrf.set_i32(2, a)
+    proc.vrf.set_i32(3, np.full(VL, 99, dtype=np.int32))
+    proc.vrf.set_i32(4, np.full(VL, 99, dtype=np.int32))
+    proc.run([I.li("t0", -1), I.vslidedown_vx(3, 2, "t0"),
+              I.vslideup_vx(4, 2, "t0")])
+    np.testing.assert_array_equal(proc.vrf.i32[3], 0)
+    np.testing.assert_array_equal(proc.vrf.i32[4], 99)
+    assert proc.stats().slide_count == 2
+
+
+@pytest.mark.parametrize("builder", [I.vslidedown_vi, I.vslideup_vi])
+@pytest.mark.parametrize("imm", [-1, 32])
+def test_slide_immediate_constructors_reject_unencodable(builder, imm):
+    with pytest.raises(EncodingError):
+        builder(1, 2, imm)
+    assert encode(builder(1, 2, 31))  # the top of the uimm5 range
 
 
 def test_vmv_s_x_and_vid(proc):

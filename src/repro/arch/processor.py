@@ -257,7 +257,7 @@ class DecoupledProcessor:
         scfg = self.config.scalar
         vcfg = self.config.vector
         core = self.core
-        fexec = core.handlers
+        functional = core.handlers  # op -> handler(core, instr)
         xv = self.xrf.values
         x_ready, f_ready, v_ready = self.x_ready, self.f_ready, self.v_ready
         store_map = self._line_store_done
@@ -683,38 +683,40 @@ class DecoupledProcessor:
         # scalar ALU
         for op in (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL,
                    Op.SRA, Op.SLT, Op.SLTU):
-            register(op, scalar_op(fexec[op], alu, 2, True), "scalar")
-        register(Op.MUL, scalar_op(fexec[Op.MUL], scfg.mul_latency, 2, True),
+            register(op, scalar_op(functional[op], alu, 2, True), "scalar")
+        register(Op.MUL,
+                 scalar_op(functional[Op.MUL], scfg.mul_latency, 2, True),
                  "scalar")
         for op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI,
                    Op.SRAI, Op.SLTI, Op.SLTIU):
-            register(op, scalar_op(fexec[op], alu, 1, True), "scalar")
+            register(op, scalar_op(functional[op], alu, 1, True), "scalar")
         for op in (Op.LUI, Op.AUIPC):
-            register(op, scalar_op(fexec[op], alu, 0, True), "scalar")
+            register(op, scalar_op(functional[op], alu, 0, True), "scalar")
         # scalar memory
         for op, (size, _) in FunctionalCore._LOAD_SIZES.items():
-            register(op, scalar_load(fexec[op], size, x_ready),
+            register(op, scalar_load(functional[op], size, x_ready),
                      "scalar", "sloads")
-        register(Op.FLW, scalar_load(fexec[Op.FLW], 4, f_ready),
+        register(Op.FLW, scalar_load(functional[Op.FLW], 4, f_ready),
                  "scalar", "sloads")
         for op, size in FunctionalCore._STORE_SIZES.items():
-            register(op, scalar_store(fexec[op], size, x_ready),
+            register(op, scalar_store(functional[op], size, x_ready),
                      "scalar", "sstores")
-        register(Op.FSW, scalar_store(fexec[Op.FSW], 4, f_ready),
+        register(Op.FSW, scalar_store(functional[Op.FSW], 4, f_ready),
                  "scalar", "sstores")
         # control flow (jal's rd receives pc+4; the ISS patches the value)
         for op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-            register(op, scalar_op(fexec[op], scfg.branch_latency, 2, False),
+            register(op,
+                     scalar_op(functional[op], scfg.branch_latency, 2, False),
                      "scalar", "branches")
-        register(Op.JAL, scalar_op(fexec[Op.JAL], 1, 0, True),
+        register(Op.JAL, scalar_op(functional[Op.JAL], 1, 0, True),
                  "scalar", "branches")
-        register(Op.JALR, scalar_op(fexec[Op.JALR], 1, 1, True),
+        register(Op.JALR, scalar_op(functional[Op.JALR], 1, 1, True),
                  "scalar", "branches")
         # vector configuration and memory
-        register(Op.VSETVLI, scalar_op(fexec[Op.VSETVLI], 1, 1, True),
+        register(Op.VSETVLI, scalar_op(functional[Op.VSETVLI], 1, 1, True),
                  "vector")
-        register(Op.VLE32, vle32(fexec[Op.VLE32]), "vector", "vloads")
-        register(Op.VSE32, vse32(fexec[Op.VSE32]), "vector", "vstores")
+        register(Op.VLE32, vle32(functional[Op.VLE32]), "vector", "vloads")
+        register(Op.VSE32, vse32(functional[Op.VSE32]), "vector", "vstores")
         # vector arithmetic: (ops, scalar operand file, reads vs1, reads
         # vs2, completion latency, extra stat counters); vd is always
         # an operand (accumulation or write-after-write ordering)
@@ -752,14 +754,14 @@ class DecoupledProcessor:
         ]
         for ops, scalar_file, reads_vs1, reads_vs2, latency, extra in spec:
             for op in ops:
-                register(op, varith(fexec[op], scalar_file, reads_vs1,
+                register(op, varith(functional[op], scalar_file, reads_vs1,
                                     reads_vs2, latency), "vector", *extra)
-        register(Op.VMV_X_S, v2s(fexec[Op.VMV_X_S], x_ready),
+        register(Op.VMV_X_S, v2s(functional[Op.VMV_X_S], x_ready),
                  "vector", "v2s")
-        register(Op.VFMV_F_S, v2s(fexec[Op.VFMV_F_S], f_ready),
+        register(Op.VFMV_F_S, v2s(functional[Op.VFMV_F_S], f_ready),
                  "vector", "v2s")
         register(Op.VINDEXMAC_VX,
-                 vindexmac(fexec[Op.VINDEXMAC_VX],
+                 vindexmac(functional[Op.VINDEXMAC_VX],
                            mac + vcfg.indexmac_extra_latency),
                  "vector", "vindexmac")
         self._handlers = handlers

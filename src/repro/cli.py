@@ -51,8 +51,8 @@ once and shared across figures and invocations; see
 
 The engine's fast paths have their own knobs: ``$REPRO_POOL_IDLE``
 (idle-reap timeout of the persistent worker pool, seconds, default
-60), ``$REPRO_CACHE_INDEX`` (``0`` disables the packed cache index),
-``$REPRO_CACHE_LRU`` (in-memory result LRU entries, default 256) and
+60), ``$REPRO_CACHE_LRU`` (in-memory LRU of cached results in front
+of the pack log, entries, default 256) and
 ``$REPRO_WORKER_MEMO`` (per-worker operand/trace memo entries).
 """
 
@@ -529,20 +529,21 @@ def cmd_cache(args) -> int:
 
     cache = ResultCache()
     count, size = cache.usage()
-    indexed = cache.indexed_count()
     print(f"cache dir:    {cache.root}")
     print(f"cache schema: {CACHE_SCHEMA}")
     print(f"entries:      {count}")
-    print(f"indexed:      {indexed}"
-          + ("" if cache.index_enabled else " (index disabled)"))
     print(f"total size:   {size / 1024:.1f} KiB")
     for backend, entries in cache.backend_counts().items():
         print(f"  {backend + ':':20s}{entries} entries")
+    legacy = len(cache.legacy_entries())
+    if legacy:
+        print(f"legacy:       {legacy} per-file entries awaiting import "
+              f"(repro cache --vacuum)")
     if args.vacuum:
         files_removed, reclaimed = cache.vacuum()
         _, size_after = cache.usage()
         print(f"vacuumed:     {files_removed} file(s) removed "
-              f"(adopted per-file entries + old segments), "
+              f"(old segments + imported per-file entries), "
               f"{reclaimed / 1024:.1f} KiB reclaimed "
               f"(now {size_after / 1024:.1f} KiB)")
     if args.clear:
@@ -875,9 +876,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="delete every cache entry after printing the "
                         "summary")
     p.add_argument("--vacuum", action="store_true",
-                   help="compact the pack segments into one and drop "
-                        "per-file entries already adopted into the "
-                        "index (reports bytes reclaimed)")
+                   help="compact the pack log into one segment and "
+                        "import per-file entries of earlier revisions "
+                        "into it, deleting them (offline; reports "
+                        "bytes reclaimed)")
     p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser(

@@ -12,8 +12,8 @@ parallel and serial runs render bit-identical tables.
 
 Dispatch path (fast to slow)::
 
-    in-process memo -> cache LRU -> packed cache index -> per-file
-    cache entry -> simulate (persistent pool / in-process)
+    in-process memo -> cache LRU -> pack index -> simulate
+    (persistent pool / in-process)
 
 Pool rules
 ----------
@@ -42,23 +42,21 @@ Cache rules
 * Key: sha256 over the canonical JSON of the job plus
   :data:`CACHE_SCHEMA`; bump :data:`CACHE_SCHEMA` whenever a simulator
   change alters results, or delete the cache directory.
-* One compact JSON file per job, written atomically (temp file +
-  rename), so concurrent workers and concurrent engine processes
-  never interleave partial files.  Unreadable/corrupted entries count
-  as misses and are re-simulated and rewritten.
-* Additionally an **append-only index** (``pack/index.jsonl``: one
-  manifest line of key -> segment/offset/size/backend over packed
-  result segments) makes the warm path a seek+read instead of a
-  file-open-plus-parse, with an in-memory LRU in front of it.  The
-  per-file layout stays authoritative (fallback and migration
-  source); ``$REPRO_CACHE_INDEX=0`` disables the index,
-  ``$REPRO_CACHE_LRU`` caps the in-memory LRU (default 256 entries,
-  ``0`` disables it).
+* One layout, an append-only **pack log**: per-process segment files
+  under ``pack/`` hold the compact JSON payloads, and one shared
+  manifest ``pack/index.jsonl`` maps key -> segment/offset/size/backend
+  a line at a time, so a warm hit is one seek+read, with an in-memory
+  LRU in front (``$REPRO_CACHE_LRU`` entries, default 256, ``0``
+  disables it).  Concurrent engine processes append safely; each reads
+  the others' appends off the manifest tail.  Unreadable/corrupted
+  payloads count as misses and are re-simulated and re-appended.
+* Per-file entries of earlier revisions (``xx/<key>.json``) are never
+  read by lookups; ``repro cache --vacuum`` imports them once.
 
 Environment knobs (read when the default engine is built):
 ``REPRO_JOBS`` (worker processes; ``0`` = one per CPU, default ``1``),
 ``REPRO_NO_CACHE`` (any non-empty value disables the disk cache),
-``REPRO_POOL_IDLE``, ``REPRO_CACHE_INDEX``, ``REPRO_CACHE_LRU`` and
+``REPRO_POOL_IDLE``, ``REPRO_CACHE_LRU`` and
 ``REPRO_WORKER_MEMO`` (see above / :mod:`repro.eval.memo`).
 ``REPRO_BACKEND`` selects the timing backend when a job is built
 without an explicit ``backend=`` (see :mod:`repro.arch.timing`).
@@ -102,10 +100,6 @@ from repro.kernels.compiler import Schedule
 from repro.nn.models import get_model
 from repro.nn.workload import ScalePolicy, make_layer_workload, make_workload
 
-#: Backwards-compatible alias — the canonicaliser moved to
-#: :mod:`repro.eval.memo` so the runner's memo keys can share it.
-_canonical = canonical
-
 #: Bump whenever a simulator/workload change invalidates cached results.
 #: Schema 2: timing backends — the backend is part of the job identity,
 #: so cached ``detailed`` results can never answer ``compressed-replay``
@@ -124,8 +118,8 @@ _canonical = canonical
 #: schema 4; analytic jobs additionally fold the active calibration
 #: table's digest into the hash, so a refit can never be answered by
 #: stale predictions.
-#: (The packed cache index and compact per-file encoding did NOT bump
-#: the schema: the JSON payload is unchanged, only its framing is new.)
+#: (The pack log did NOT bump the schema: the JSON payload is
+#: unchanged, only its framing is new.)
 CACHE_SCHEMA = 5
 
 
@@ -268,7 +262,7 @@ class SimJob:
 
 def job_hash(job: SimJob) -> str:
     """Stable content hash of a job (identical across processes)."""
-    payload = {"schema": CACHE_SCHEMA, "job": _canonical(job)}
+    payload = {"schema": CACHE_SCHEMA, "job": canonical(job)}
     if job.backend == "analytic-sampled":
         # an analytic prediction is a function of the calibration table,
         # not just the job: refitting must invalidate cached predictions
@@ -446,7 +440,7 @@ def _chunk_tasks(jobs, tasks, n_chunks):
 # On-disk result cache
 # ======================================================================
 #: Advisory lockfile guarding offline cache maintenance (lives inside
-#: the cache root, outside the ``xx/`` entry shards and ``pack/``).
+#: the cache root, beside ``pack/``).
 CACHE_LOCK_NAME = ".lock"
 
 
@@ -525,39 +519,42 @@ def atomic_write_text(path: Path, text: str) -> None:
 class ResultCache:
     """Content-addressed store of :class:`KernelRun` results.
 
-    Three layers, fastest first:
+    One layout, the append-only **pack log** under ``pack/``:
+    per-process segment files (``*.seg``) of concatenated compact-JSON
+    payloads, plus one shared manifest ``pack/index.jsonl`` of
+    key -> segment/offset/size/backend lines.  :meth:`store` appends
+    the payload to this instance's segment, then one manifest line, so
+    a manifest line never names bytes that are not yet written.  In
+    front of it sits an in-memory LRU of decoded runs
+    (``$REPRO_CACHE_LRU`` entries, default 256): a repeat hit costs a
+    dict lookup, an LRU miss one seek+read, and :meth:`load_many`
+    batches a whole key set per segment.
 
-    * an in-memory LRU of decoded runs (``$REPRO_CACHE_LRU`` entries,
-      default 256) — repeat hits cost a dict lookup;
-    * an append-only **packed index**: per-process segment files under
-      ``pack/`` holding concatenated compact-JSON payloads, plus one
-      shared ``pack/index.jsonl`` manifest of
-      key -> segment/offset/size/backend, appended a line at a time —
-      a warm hit is one seek+read, and :meth:`load_many` batches a
-      whole key set per segment;
-    * the original one-file-per-key layout — still written on every
-      :meth:`store` (atomically, so it stays safe under concurrent
-      engines), still readable on its own (``$REPRO_CACHE_INDEX=0``),
-      and the migration source: a per-file hit is appended to the
-      index so the next load is indexed.
+    The manifest is read incrementally from a remembered byte offset,
+    up to its last complete line (a torn tail is picked up once it is
+    completed).  A lookup with index misses re-reads the tail once
+    before reporting them, which is how a long-lived engine or server
+    sees results other processes appended.  Entries in the per-file
+    layout of earlier revisions (``xx/<key>.json``) are never read by
+    lookups: :meth:`vacuum` imports them once.
     """
 
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.index_enabled = os.environ.get("REPRO_CACHE_INDEX", "1") != "0"
         self._lru_capacity = max(0, _env_int("REPRO_CACHE_LRU", 256))
         self._lru: OrderedDict[str, KernelRun] = OrderedDict()
-        #: guards the LRU's compound update sequences — the serve layer
-        #: probes the cache from the event-loop thread while the
+        #: guards the LRU, the index and the manifest offset — the serve
+        #: layer probes the cache from the event-loop thread while the
         #: dispatcher thread stores results into the same instance
-        self._lru_lock = threading.Lock()
-        self._index: dict[str, tuple[str, int, int, str]] | None = None
-        self._segment: str | None = None  #: this process's pack segment
+        self._lock = threading.Lock()
+        self._index: dict[str, tuple[str, int, int, str]] = {}
+        #: bytes of the manifest folded into ``_index``, and the inode
+        #: they were read from (a vacuum replaces the manifest)
+        self._manifest_offset = 0
+        self._manifest_inode: int | None = None
+        self._segment: str | None = None  #: this instance's pack segment
 
     # -- paths ---------------------------------------------------------
-    def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     @property
     def pack_dir(self) -> Path:
         return self.root / "pack"
@@ -566,57 +563,43 @@ class ResultCache:
     def manifest_path(self) -> Path:
         return self.pack_dir / "index.jsonl"
 
-    # -- the packed index ----------------------------------------------
-    def _load_index(self) -> dict[str, tuple[str, int, int, str]]:
-        """The manifest, parsed once per cache instance (later stores
-        through this instance keep it current; other processes' appends
-        are picked up by the per-file fallback)."""
-        if self._index is None:
-            index: dict[str, tuple[str, int, int, str]] = {}
-            if self.index_enabled:
-                try:
-                    lines = self.manifest_path.read_bytes().splitlines()
-                except OSError:
-                    lines = []
-                for line in lines:
-                    try:
-                        rec = json.loads(line)
-                        index[rec["k"]] = (rec["s"], int(rec["o"]),
-                                           int(rec["n"]), rec["b"])
-                    except (ValueError, KeyError, TypeError):
-                        continue  # torn/corrupt line: skip, don't fail
-            self._index = index
-        return self._index
+    def legacy_entries(self) -> list[Path]:
+        """Per-file entries of earlier revisions awaiting import by
+        :meth:`vacuum` (sorted)."""
+        return sorted(self.root.glob("??/*.json"))
 
-    def _append_index(self, key: str, blob: bytes, backend: str) -> None:
-        """Append one result to this process's segment + the manifest.
-
-        Segments are per-process (pid + random suffix), so offsets are
-        race-free; the manifest append is a single small O_APPEND write.
-        Failures are swallowed — the index is an accelerator, the
-        per-file layout stays authoritative.
-        """
-        if not self.index_enabled:
-            return
+    # -- the manifest --------------------------------------------------
+    def _refresh(self) -> None:
+        """Fold manifest lines appended since the last read into the
+        index (caller holds ``_lock``)."""
         try:
-            self.pack_dir.mkdir(parents=True, exist_ok=True)
-            if self._segment is None:
-                self._segment = (f"{os.getpid():x}-"
-                                 f"{os.urandom(4).hex()}.seg")
-            segment_path = self.pack_dir / self._segment
-            with open(segment_path, "ab") as handle:
-                offset = handle.tell()
-                handle.write(blob)
-            record = {"k": key, "s": self._segment, "o": offset,
-                      "n": len(blob), "b": backend}
-            line = json.dumps(record, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-            with open(self.manifest_path, "ab") as handle:
-                handle.write(line.encode())
-            self._load_index()[key] = (self._segment, offset,
-                                       len(blob), backend)
+            with open(self.manifest_path, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                if (stat.st_ino != self._manifest_inode
+                        or stat.st_size < self._manifest_offset):
+                    # first read, or a vacuum rewrote the manifest
+                    self._index = {}
+                    self._manifest_offset = 0
+                    self._manifest_inode = stat.st_ino
+                handle.seek(self._manifest_offset)
+                tail = handle.read()
         except OSError:
-            pass
+            return
+        complete = tail.rfind(b"\n") + 1
+        for line in tail[:complete].splitlines():
+            try:
+                rec = json.loads(line)
+                self._index[rec["k"]] = (rec["s"], int(rec["o"]),
+                                         int(rec["n"]), rec["b"])
+            except (ValueError, KeyError, TypeError):
+                continue  # corrupt line: skip, don't fail
+        self._manifest_offset += complete
+
+    def _current_index(self) -> dict[str, tuple[str, int, int, str]]:
+        """A snapshot of the index after reading the manifest tail."""
+        with self._lock:
+            self._refresh()
+            return dict(self._index)
 
     def _decode(self, payload) -> KernelRun:
         if payload["schema"] != CACHE_SCHEMA:
@@ -629,201 +612,140 @@ class ResultCache:
     def _lru_put(self, key: str, run: KernelRun) -> None:
         if self._lru_capacity <= 0:
             return
-        with self._lru_lock:
+        with self._lock:
             self._lru[key] = run
             self._lru.move_to_end(key)
             while len(self._lru) > self._lru_capacity:
                 self._lru.popitem(last=False)
 
-    def _lru_get(self, key: str) -> KernelRun | None:
-        with self._lru_lock:
-            run = self._lru.get(key)
-            if run is not None:
-                self._lru.move_to_end(key)
-            return run
-
-    def _load_indexed(self, key: str) -> KernelRun | None:
-        entry = self._load_index().get(key)
-        if entry is None:
-            return None
-        segment, offset, size, _ = entry
-        try:
-            with open(self.pack_dir / segment, "rb") as handle:
-                handle.seek(offset)
-                blob = handle.read(size)
-            return self._decode(json.loads(blob))
-        except (OSError, ValueError, TypeError, KeyError):
-            # truncated segment / stale manifest: fall back to per-file
-            self._load_index().pop(key, None)
-            return None
-
-    def _load_file(self, key: str) -> KernelRun | None:
-        """The per-file fallback (and migration source): a hit is
-        re-appended to the index so the next load is one seek+read."""
-        path = self.path(key)
-        try:
-            payload = json.loads(path.read_text())
-            run = self._decode(payload)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, TypeError, KeyError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if self.index_enabled and key not in self._load_index():
-            blob = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")).encode()
-            self._append_index(key, blob, run.backend)
-        return run
-
     # -- public API ----------------------------------------------------
     def load(self, key: str) -> KernelRun | None:
-        """The cached run for ``key``, or None on a miss.
-
-        A corrupted/unreadable entry falls through the layers (LRU ->
-        index -> per-file); only when every layer misses is the job
-        re-simulated and rewritten.
-        """
-        run = self._lru_get(key)
-        if run is not None:
-            return run
-        run = self._load_indexed(key)
-        if run is None:
-            run = self._load_file(key)
-        if run is not None:
-            self._lru_put(key, run)
-        return run
+        """The cached run for ``key``, or None on a miss (an unreadable
+        or corrupted payload is a miss: the job is re-simulated and
+        re-appended)."""
+        return self.load_many((key,)).get(key)
 
     def load_many(self, keys) -> dict[str, KernelRun]:
-        """Batched :meth:`load`: every hit among ``keys``.
+        """Every hit among ``keys``; misses are simply absent.
 
-        Indexed entries are grouped per segment so each segment is
-        opened once and read in offset order; the remainder falls back
-        to per-file loads.  Misses are simply absent from the result.
+        LRU hits first; the rest are grouped per segment so each
+        segment is opened once and read in offset order.
         """
         found: dict[str, KernelRun] = {}
-        misses: list[str] = []
-        for key in dict.fromkeys(keys):
-            run = self._lru_get(key)
-            if run is not None:
-                found[key] = run
-            else:
-                misses.append(key)
-        index = self._load_index()
+        wanted: list[str] = []
         by_segment: dict[str, list[tuple[int, int, str]]] = {}
-        rest: list[str] = []
-        for key in misses:
-            entry = index.get(key)
-            if entry is None:
-                rest.append(key)
-            else:
-                segment, offset, size, _ = entry
-                by_segment.setdefault(segment, []).append(
-                    (offset, size, key))
+        with self._lock:
+            for key in dict.fromkeys(keys):
+                run = self._lru.get(key)
+                if run is not None:
+                    self._lru.move_to_end(key)
+                    found[key] = run
+                else:
+                    wanted.append(key)
+            if any(key not in self._index for key in wanted):
+                self._refresh()  # other processes' appends
+            for key in wanted:
+                if key in self._index:
+                    segment, offset, size, _ = self._index[key]
+                    by_segment.setdefault(segment, []).append(
+                        (offset, size, key))
         for segment, wanted in by_segment.items():
             try:
-                with open(self.pack_dir / segment, "rb") as handle:
-                    for offset, size, key in sorted(wanted):
-                        handle.seek(offset)
-                        blob = handle.read(size)
-                        run = self._decode(json.loads(blob))
-                        found[key] = run
-                        self._lru_put(key, run)
-            except (OSError, ValueError, TypeError, KeyError):
-                # drop this segment's survivors to the per-file path
-                rest.extend(key for _, _, key in wanted
-                            if key not in found)
-        for key in rest:
-            run = self._load_file(key)
-            if run is not None:
-                found[key] = run
-                self._lru_put(key, run)
-        return found
-
-    def entries(self) -> list[Path]:
-        """Every per-file cache entry currently on disk (sorted)."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.glob("*/*.json")
-                      if p.parent.name != "pack")
-
-    def usage(self) -> tuple[int, int]:
-        """(distinct entry count, total bytes) of the on-disk cache.
-
-        Counts keys reachable through either layout (after a
-        :meth:`vacuum` an entry may live only in the packed index) and
-        sums the bytes of both: per-file entries plus pack segments
-        and manifest.
-        """
-        keys = {path.stem for path in self.entries()}
-        keys |= set(self._load_index())
-        size = 0
-        paths = list(self.entries())
-        if self.pack_dir.is_dir():
-            paths.extend(p for p in self.pack_dir.iterdir()
-                         if p.is_file())
-        for path in paths:
-            try:
-                size += path.stat().st_size
+                handle = open(self.pack_dir / segment, "rb")
             except OSError:
                 continue
-        return len(keys), size
+            with handle:
+                for offset, size, key in sorted(wanted):
+                    try:
+                        handle.seek(offset)
+                        run = self._decode(json.loads(handle.read(size)))
+                    except (OSError, ValueError, TypeError, KeyError):
+                        continue
+                    found[key] = run
+                    self._lru_put(key, run)
+        return found
 
-    def indexed_count(self) -> int:
-        """Entries reachable through the packed index."""
-        return len(self._load_index())
+    def store(self, key: str, job: SimJob, run: KernelRun) -> None:
+        """Append ``run`` to this instance's segment, then its manifest
+        line; a failed write raises :class:`EngineError`."""
+        payload = {
+            "schema": CACHE_SCHEMA,
+            "job": canonical(job),
+            "kernel": run.kernel,
+            "verified": run.verified,
+            "backend": run.backend,
+            "stats": canonical(run.stats),
+        }
+        blob = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode()
+        # held across the append: the offset read before the write must
+        # still be the segment's end when the blob lands
+        with self._lock:
+            try:
+                self.pack_dir.mkdir(parents=True, exist_ok=True)
+                if self._segment is None:
+                    self._segment = (f"{os.getpid():x}-"
+                                     f"{os.urandom(4).hex()}.seg")
+                with open(self.pack_dir / self._segment, "ab") as handle:
+                    offset = handle.tell()
+                    handle.write(blob)
+                line = _manifest_line(key, self._segment, offset,
+                                      len(blob), run.backend)
+                with open(self.manifest_path, "ab") as handle:
+                    handle.write(line.encode())
+            except OSError as exc:
+                raise EngineError(
+                    f"cannot store a result in cache {self.root}: "
+                    f"{exc}") from exc
+            self._index[key] = (self._segment, offset, len(blob),
+                                run.backend)
+        self._lru_put(key, run)
+
+    def usage(self) -> tuple[int, int]:
+        """(entry count, total bytes of segments and manifest)."""
+        count = len(self._current_index())
+        size = 0
+        if self.pack_dir.is_dir():
+            for path in self.pack_dir.iterdir():
+                try:
+                    size += path.stat().st_size
+                except OSError:
+                    continue
+        return count, size
 
     def backend_counts(self) -> dict[str, int]:
-        """Entry count per timing backend (for ``repro cache``).
-
-        Served from the index manifest (the backend rides in every
-        manifest line); only entries the index has never seen need
-        their JSON opened.  Unreadable entries are tallied under
-        ``"?"`` rather than deleted — :meth:`load` handles eviction on
-        actual use.
-        """
+        """Entry count per timing backend (for ``repro cache``), read
+        off the manifest — the backend rides in every line."""
         counts: dict[str, int] = {}
-        index = self._load_index()
-        indexed = {key: entry[3] for key, entry in index.items()}
-        for backend in indexed.values():
-            counts[backend] = counts.get(backend, 0) + 1
-        for path in self.entries():
-            if path.stem in indexed:
-                continue  # already tallied through the manifest
-            try:
-                backend = json.loads(path.read_text())["backend"]
-            except (OSError, ValueError, KeyError):
-                backend = "?"
+        for _, _, _, backend in self._current_index().values():
             counts[backend] = counts.get(backend, 0) + 1
         return dict(sorted(counts.items()))
 
     def clear(self) -> int:
-        """Delete every cache entry (per-file layout, packed segments
-        and manifest); returns how many entries were removed."""
-        keys = {path.stem for path in self.entries()}
-        keys |= set(self._load_index())
-        for path in self.entries():
-            try:
-                path.unlink()
-            except OSError:
-                keys.discard(path.stem)
+        """Delete every cache entry (pack log and any per-file entries
+        awaiting import); returns how many distinct keys were removed."""
+        keys = set(self._current_index())
+        for path in self.legacy_entries():
+            keys.add(path.stem)
+            _unlink_entry(path)
         shutil.rmtree(self.pack_dir, ignore_errors=True)
-        self._index = {} if self._index is not None else None
+        with self._lock:
+            self._index = {}
+            self._manifest_offset = 0
+            self._manifest_inode = None
+            self._lru.clear()
         self._segment = None
-        self._lru.clear()
         return len(keys)
 
     def vacuum(self) -> tuple[int, int]:
-        """Compact the cache: one fresh pack segment, no redundancy.
+        """Compact the cache into one fresh pack segment.
 
-        Rewrites every index-reachable result into a single new
-        segment with a fresh manifest (dropping superseded manifest
-        lines and dead bytes in abandoned segments), deletes the old
-        segments, and unlinks per-file entries already adopted into
-        the index — the index alone serves them afterwards (per-file
-        entries the index has never seen are kept untouched).  This is
+        Rewrites every live result into a single new segment with a
+        fresh manifest (dropping superseded manifest lines, corrupt
+        blobs and dead bytes in abandoned segments), deletes the old
+        segments, and imports per-file entries of earlier revisions:
+        each valid one is copied into the new segment (unless the pack
+        log already holds its key), and every one is unlinked.  This is
         an offline maintenance operation: the cache directory's
         advisory lock is taken exclusively for its duration, so a
         vacuum can never race a live :class:`~repro.serve.service.
@@ -832,8 +754,6 @@ class ResultCache:
 
         Returns ``(files_removed, bytes_reclaimed)``.
         """
-        if not self.index_enabled:
-            return 0, 0
         lock = acquire_cache_lock(self.root, exclusive=True)
         try:
             return self._vacuum_locked()
@@ -841,20 +761,29 @@ class ResultCache:
             release_cache_lock(lock)
 
     def _vacuum_locked(self) -> tuple[int, int]:
-        self._index = None  # re-read the manifest, including appends
-        index = dict(self._load_index())
+        legacy = self.legacy_entries()
         _, bytes_before = self.usage()
+        bytes_before += sum(path.stat().st_size for path in legacy)
         old_segments = set()
         if self.pack_dir.is_dir():
             old_segments = {p.name for p in self.pack_dir.iterdir()
                             if p.name != self.manifest_path.name}
-        # 1. copy every live blob into one fresh segment
-        compacted: dict[str, tuple[str, int, int, str]] = {}
         new_segment = f"compact-{os.getpid():x}-{os.urandom(4).hex()}.seg"
         lines: list[str] = []
-        offset = 0
         blobs: list[bytes] = []
-        for key, (segment, start, size, backend) in index.items():
+        offset = 0
+
+        def keep(key: str, blob: bytes, backend: str) -> None:
+            nonlocal offset
+            blobs.append(blob)
+            lines.append(_manifest_line(key, new_segment, offset,
+                                        len(blob), backend))
+            offset += len(blob)
+
+        # 1. copy every live blob into one fresh segment
+        kept = set()
+        for key, (segment, start, size, backend) in \
+                self._current_index().items():
             try:
                 with open(self.pack_dir / segment, "rb") as handle:
                     handle.seek(start)
@@ -862,56 +791,60 @@ class ResultCache:
                 self._decode(json.loads(blob))
             except (OSError, ValueError, TypeError, KeyError):
                 continue  # unreadable: drop from the compacted index
-            blobs.append(blob)
-            compacted[key] = (new_segment, offset, len(blob), backend)
-            lines.append(json.dumps(
-                {"k": key, "s": new_segment, "o": offset,
-                 "n": len(blob), "b": backend},
-                sort_keys=True, separators=(",", ":")))
-            offset += len(blob)
-        removed = 0
-        if compacted:
+            keep(key, blob, backend)
+            kept.add(key)
+        # 2. import the valid per-file entries the pack log lacks
+        for path in legacy:
+            if path.stem in kept:
+                continue
+            try:
+                payload = json.loads(path.read_text())
+                run = self._decode(payload)
+            except (OSError, ValueError, TypeError, KeyError):
+                continue
+            keep(path.stem, json.dumps(payload, sort_keys=True,
+                                       separators=(",", ":")).encode(),
+                 run.backend)
+            kept.add(path.stem)
+        if blobs:
             self.pack_dir.mkdir(parents=True, exist_ok=True)
             with open(self.pack_dir / new_segment, "wb") as handle:
                 handle.write(b"".join(blobs))
-            atomic_write_text(self.manifest_path,
-                              "\n".join(lines) + "\n")
+            atomic_write_text(self.manifest_path, "".join(lines))
         elif self.manifest_path.exists():
             atomic_write_text(self.manifest_path, "")
-        # 2. drop the superseded segments
+        # 3. drop the superseded segments and the imported entries
+        removed = 0
         for name in old_segments:
             try:
                 (self.pack_dir / name).unlink()
                 removed += 1
             except OSError:
                 pass
-        # 3. drop per-file entries the index now serves
-        for path in self.entries():
-            if path.stem not in compacted:
-                continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._index = compacted
+        removed += sum(_unlink_entry(path) for path in legacy)
         self._segment = None  # future stores open a fresh segment
         _, bytes_after = self.usage()
         return removed, max(0, bytes_before - bytes_after)
 
-    def store(self, key: str, job: SimJob, run: KernelRun) -> None:
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "job": _canonical(job),
-            "kernel": run.kernel,
-            "verified": run.verified,
-            "backend": run.backend,
-            "stats": _canonical(run.stats),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        atomic_write_text(self.path(key), blob)
-        self._append_index(key, blob.encode(), run.backend)
-        self._lru_put(key, run)
+
+def _manifest_line(key: str, segment: str, offset: int, size: int,
+                   backend: str) -> str:
+    return json.dumps({"k": key, "s": segment, "o": offset, "n": size,
+                       "b": backend},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _unlink_entry(path: Path) -> bool:
+    """Delete one per-file entry, and its shard directory once empty."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    try:
+        path.parent.rmdir()
+    except OSError:
+        pass
+    return True
 
 
 # ======================================================================
@@ -1170,7 +1103,7 @@ class ExperimentEngine:
     # -- execution -----------------------------------------------------
     def probe(self, jobs) -> "list[KernelRun | None]":
         """Cache-only lookup: the warm layers of the dispatch path
-        (in-process memo -> cache LRU -> packed index -> per-file),
+        (in-process memo -> cache LRU -> pack index),
         never simulating.  Misses come back as ``None``.
 
         Hits are promoted into the in-process memo and counted exactly
@@ -1278,9 +1211,11 @@ class ExperimentEngine:
             for key, job, run in zip(pending, pending.values(), runs):
                 sim_instructions += run.stats.instructions
                 sim_seconds += run.wall_seconds
-                self._memo[key] = run
                 if self.cache:
                     self.cache.store(key, job, run)
+                # memoised only once stored: after a failed store a
+                # retry re-simulates and stores instead of a memo hit
+                self._memo[key] = run
             stage_seconds["store"] = (stage_seconds.get("store", 0.0)
                                       + time.perf_counter() - t_store)
             with self._counters_lock:

@@ -4,7 +4,8 @@ Submission path (see :meth:`ExperimentService.submit`):
 
 1. **Microsecond warm path** — every submitted job is first probed
    against the engine's warm layers (in-process memo -> cache LRU ->
-   packed index -> per-file) right on the event loop via
+   pack index, whose manifest tail is re-read once on a miss so other
+   processes' results are seen) right on the event loop via
    :meth:`ExperimentEngine.probe`; hits are answered immediately
    without touching the queue or the worker pool.
 2. **Single-flight dedup** — a cold job whose ``job_hash`` is already

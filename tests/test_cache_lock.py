@@ -108,7 +108,8 @@ def test_store_and_load_ignore_the_lockfile(tmp_path):
         assert len(hits) == len(jobs)
         entries, _ = cache.usage()
         assert entries >= 0
-        assert all(p.name != CACHE_LOCK_NAME for p in cache.entries())
+        assert all(p.name != CACHE_LOCK_NAME
+                   for p in cache.legacy_entries())
     finally:
         release_cache_lock(holder)
     assert hits[job_hash(jobs[0])].stats.cycles >= 0

@@ -8,6 +8,7 @@ the append-only pack manifest and observe each other's results, and
 losing a single result.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -17,11 +18,13 @@ from pathlib import Path
 import repro
 from repro.eval.comparison import BASELINE, PROPOSED
 from repro.eval.engine import (
+    CACHE_SCHEMA,
     ExperimentEngine,
     ResultCache,
     SimJob,
     job_hash,
 )
+from repro.eval.memo import canonical
 
 
 def tiny_job(kernel=PROPOSED, nm=(1, 4), seed=0):
@@ -87,7 +90,7 @@ def test_two_processes_store_concurrently_into_one_cache(tmp_path):
     cache = ResultCache(cache_dir)
     manifest = cache.manifest_path.read_text().splitlines()
     assert len(manifest) == 24
-    assert cache.indexed_count() == 24
+    assert cache.usage()[0] == 24
 
     # a fresh engine observes all 24 without a single simulation
     engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
@@ -130,22 +133,26 @@ def test_vacuum_compacts_without_losing_results(tmp_path):
             for s in range(3)]
     originals = engine.run(jobs)
     engine.shutdown()
+    # a second cache instance re-stores three keys into its own
+    # segment: their first blobs and manifest lines become dead bytes
+    restore = ResultCache(cache_dir)
+    for job, run in list(zip(jobs, originals))[:3]:
+        restore.store(job_hash(job), job, run)
 
     cache = ResultCache(cache_dir)
     count_before, bytes_before = cache.usage()
     assert count_before == 9
-    assert len(cache.entries()) == 9  # per-file + packed = redundant
 
     removed, reclaimed = cache.vacuum()
-    assert removed >= 9  # the 9 adopted per-file entries at least
+    assert removed == 2  # both superseded segments
     assert reclaimed > 0
     count_after, bytes_after = cache.usage()
     assert count_after == 9  # no entry lost
     assert bytes_after == bytes_before - reclaimed
-    assert cache.entries() == []  # all adopted into the index
     segments = [p for p in cache.pack_dir.iterdir()
                 if p.name != cache.manifest_path.name]
     assert len(segments) == 1  # one compacted segment
+    assert len(cache.manifest_path.read_text().splitlines()) == 9
 
     # every result still loads bit-exact through a fresh cache
     fresh = ResultCache(cache_dir)
@@ -154,38 +161,46 @@ def test_vacuum_compacts_without_losing_results(tmp_path):
         assert reloaded is not None
         assert runs_equal(reloaded, original)
 
-    # backend accounting survives the per-file deletion
     assert fresh.backend_counts() == {originals[0].backend: 9}
 
 
-def test_vacuum_keeps_unindexed_per_file_entries(tmp_path, monkeypatch):
+def test_vacuum_imports_legacy_per_file_entry(tmp_path):
+    """A per-file entry written by an earlier revision is never read by
+    lookups; vacuum copies it into the compacted segment and deletes
+    it, after which it loads and no per-file entry is left behind."""
     cache_dir = tmp_path / "cache"
-    # entry stored with the index disabled: per-file only
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
-    unindexed = tiny_job(seed=500)
-    engine.run([unindexed])
+    engine = ExperimentEngine(jobs=1, cache=False)
+    legacy_job = tiny_job(seed=500)
+    legacy_run = engine.run([legacy_job])[0]
     engine.shutdown()
-    monkeypatch.delenv("REPRO_CACHE_INDEX")
+    key = job_hash(legacy_job)
+    payload = {"schema": CACHE_SCHEMA, "job": canonical(legacy_job),
+               "kernel": legacy_run.kernel,
+               "verified": legacy_run.verified,
+               "backend": legacy_run.backend,
+               "stats": canonical(legacy_run.stats)}
+    entry = cache_dir / key[:2] / f"{key}.json"
+    entry.parent.mkdir(parents=True)
+    entry.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    garbage = cache_dir / "zz" / f"zz{62 * '0'}.json"
+    garbage.parent.mkdir()
+    garbage.write_text("{ not json !!!")
 
     engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
     engine.run([tiny_job(seed=501)])
     engine.shutdown()
 
     cache = ResultCache(cache_dir)
-    cache.vacuum()
-    # the never-indexed entry survives as a file and still loads
-    assert [p.stem for p in cache.entries()] == \
-        [job_hash(unindexed)]
-    assert cache.load(job_hash(unindexed)) is not None
-    count, _ = cache.usage()
-    assert count == 2
-
-
-def test_vacuum_with_index_disabled_is_a_noop(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    cache = ResultCache(tmp_path / "cache")
-    assert cache.vacuum() == (0, 0)
+    assert cache.load(key) is None  # lookups never read per-file
+    assert len(cache.legacy_entries()) == 2
+    removed, _ = cache.vacuum()
+    assert removed == 3  # the old segment + both per-file entries
+    assert cache.legacy_entries() == []
+    assert sorted(p.name for p in cache_dir.iterdir()) == \
+        [".lock", "pack"]
+    reloaded = ResultCache(cache_dir).load(key)
+    assert reloaded is not None and runs_equal(reloaded, legacy_run)
+    assert cache.usage()[0] == 2
 
 
 def test_vacuum_idempotent_and_store_after_vacuum(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -125,48 +126,100 @@ def test_cache_disabled_always_simulates(tmp_path):
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
-def test_corrupted_cache_file_recovers(tmp_path, monkeypatch):
-    # pin the legacy per-file-only path: with the packed index enabled
-    # the corrupted entry would be served from its packed copy instead
-    # of triggering a re-simulation (covered separately below)
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
+def _blob_location(cache_dir, key) -> tuple[Path, int, int]:
+    """(segment path, offset, size) of ``key``'s latest packed blob."""
+    cache = ResultCache(cache_dir)
+    location = None
+    for line in cache.manifest_path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["k"] == key:
+            location = (cache.pack_dir / rec["s"], rec["o"], rec["n"])
+    assert location is not None, "key not in the manifest"
+    return location
+
+
+def test_corrupted_cache_file_recovers(tmp_path):
     job = tiny_job()
     first = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     reference = first.run([job])[0]
-    path = ResultCache(tmp_path).path(job_hash(job))
-    path.write_text("{ not json !!!")
+    segment, offset, size = _blob_location(tmp_path, job_hash(job))
+    with open(segment, "r+b") as handle:  # trash the blob in place
+        handle.seek(offset)
+        handle.write(b"{ not json !!!".ljust(size, b"#"))
     healed = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     rerun = healed.run([job])[0]
     assert healed.counters.simulated == 1  # corruption -> miss
     assert runs_equal(rerun, reference)
-    json.loads(path.read_text())  # entry was rewritten valid
+    # the result was re-appended: a new, valid blob for the same key
+    assert _blob_location(tmp_path, job_hash(job)) != (segment, offset,
+                                                      size)
     warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     warm.run([job])
+    assert warm.counters.simulated == 0
     assert warm.counters.disk_hits == 1
-
-
-def test_index_serves_past_corrupted_per_file_entry(tmp_path):
-    """With the packed index on, a trashed per-file entry is served
-    from the index (a disk hit) instead of re-simulated."""
-    job = tiny_job()
-    first = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    reference = first.run([job])[0]
-    ResultCache(tmp_path).path(job_hash(job)).write_text("{ not json !!!")
-    healed = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    rerun = healed.run([job])[0]
-    assert healed.counters.simulated == 0
-    assert healed.counters.disk_hits == 1
-    assert runs_equal(rerun, reference)
 
 
 def test_store_writes_compact_json(tmp_path):
     job = tiny_job()
     engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     engine.run([job])
-    text = ResultCache(tmp_path).path(job_hash(job)).read_text()
+    segment, offset, size = _blob_location(tmp_path, job_hash(job))
+    with open(segment, "rb") as handle:
+        handle.seek(offset)
+        text = handle.read(size).decode()
     assert "\n" not in text and ": " not in text  # no indent, no spaces
     payload = json.loads(text)  # still valid JSON with the same fields
     assert payload["kernel"] == PROPOSED
+
+
+def test_cold_run_leaves_only_the_pack_log(tmp_path):
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run(
+        [tiny_job(seed=s) for s in range(3)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pack"]
+    manifest = ResultCache(tmp_path).manifest_path.read_text()
+    assert len(manifest.splitlines()) == 3
+
+
+def test_failed_store_raises_engine_error(tmp_path, monkeypatch):
+    """A full disk must not lose results silently: the segment append
+    fails loudly, naming the cache root, nothing is indexed, and a
+    retry through the same engine stores the result."""
+    import errno
+
+    from repro.eval import engine as engine_module
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        if str(path).endswith(".seg") and "a" in mode:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "open", full_disk_open,
+                        raising=False)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    with pytest.raises(EngineError, match=re.escape(str(tmp_path))):
+        engine.run([tiny_job()])
+    monkeypatch.undo()
+    assert ResultCache(tmp_path).usage()[0] == 0
+    engine.run([tiny_job()])
+    assert engine.counters.simulated == 1
+    assert ResultCache(tmp_path).usage()[0] == 1
+
+
+def test_torn_manifest_line_is_picked_up_once_completed(tmp_path):
+    jobs = [tiny_job(seed=s) for s in range(2)]
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
+    cache = ResultCache(tmp_path)
+    manifest = cache.manifest_path.read_bytes()
+    first, second = manifest.splitlines(keepends=True)
+    cut = len(second) // 2
+    cache.manifest_path.write_bytes(first + second[:cut])  # torn append
+    reader = ResultCache(tmp_path)
+    hits = reader.load_many([job_hash(j) for j in jobs])
+    assert set(hits) == {job_hash(jobs[0])}  # torn line skipped
+    with open(cache.manifest_path, "ab") as handle:
+        handle.write(second[cut:])  # the writer completes its line
+    assert reader.load(job_hash(jobs[1])) is not None  # tail re-read
+    assert reader.usage()[0] == 2
 
 
 def test_load_many_matches_load(tmp_path):
@@ -181,56 +234,13 @@ def test_load_many_matches_load(tmp_path):
         assert runs_equal(batched[key], fresh.load(key))
 
 
-def test_index_serves_after_per_file_delete(tmp_path):
-    """The packed index is a complete replica: per-file entries can
-    disappear and warm loads still succeed."""
-    job = tiny_job()
-    ExperimentEngine(jobs=1, cache_dir=tmp_path).run([job])
-    key = job_hash(job)
-    cache = ResultCache(tmp_path)
-    reference = cache.load(key)
-    cache.path(key).unlink()
-    served = ResultCache(tmp_path).load(key)
-    assert served is not None and runs_equal(served, reference)
-
-
-def test_index_disabled_is_pure_per_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    job = tiny_job()
-    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    reference = engine.run([job])[0]
-    assert not (tmp_path / "pack").exists()  # nothing packed
-    warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    assert runs_equal(warm.run([job])[0], reference)
-    assert warm.counters.disk_hits == 1
-
-
-def test_per_file_entries_migrate_into_index(tmp_path, monkeypatch):
-    """A cache written before the index existed (or with it disabled)
-    is adopted: the first per-file hit is appended to the index, after
-    which the per-file copy is no longer needed."""
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    job = tiny_job()
-    ExperimentEngine(jobs=1, cache_dir=tmp_path).run([job])
-    monkeypatch.delenv("REPRO_CACHE_INDEX")
-    key = job_hash(job)
-    cache = ResultCache(tmp_path)
-    assert cache.indexed_count() == 0
-    reference = cache.load(key)  # per-file hit -> migrated
-    assert cache.indexed_count() == 1
-    cache.path(key).unlink()
-    served = ResultCache(tmp_path).load(key)
-    assert served is not None and runs_equal(served, reference)
-
-
 def test_clear_removes_pack_and_entries(tmp_path):
     jobs = [tiny_job(seed=s) for s in range(3)]
     ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
     cache = ResultCache(tmp_path)
     assert cache.clear() == 3
-    assert cache.entries() == []
+    assert cache.legacy_entries() == []
     assert not cache.pack_dir.exists()
-    assert cache.indexed_count() == 0
     assert cache.usage() == (0, 0)
 
 
@@ -239,7 +249,61 @@ def test_backend_counts_served_from_index(tmp_path):
     ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
     cache = ResultCache(tmp_path)
     assert cache.backend_counts() == {"detailed": 3}
-    assert cache.indexed_count() == 3
+    assert cache.usage()[0] == 3
+
+
+def test_concurrent_stores_and_lookups_lose_nothing(tmp_path):
+    """Stores and miss-driven manifest re-reads share one cache instance
+    across threads (the serve layer probes while its dispatcher
+    stores): every stored key must stay indexed and load intact."""
+    import threading
+
+    job = tiny_job()
+    run = ExperimentEngine(jobs=1, cache=False).run([job])[0]
+    cache = ResultCache(tmp_path)
+    writers, per_writer = 4, 150
+    keys = [[f"{w:02x}{i:062x}" for i in range(per_writer)]
+            for w in range(writers)]
+    errors = []
+    done = threading.Event()
+
+    def store(own):
+        try:
+            for key in own:
+                cache.store(key, job, run)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    def probe():
+        try:
+            while not done.is_set():
+                cache.load_many([keys[0][0], 64 * "f"])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=store, args=(own,))
+                   for own in keys]
+        probes = [threading.Thread(target=probe) for _ in range(2)]
+        for thread in threads + probes:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        done.set()
+        for thread in probes:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads + probes)
+    assert errors == []
+    every = [key for own in keys for key in own]
+    assert len(cache.load_many(every)) == len(every)
+    fresh = ResultCache(tmp_path)
+    loaded = fresh.load_many(every)
+    assert len(loaded) == len(every)
+    assert all(runs_equal(hit, run) for hit in loaded.values())
 
 
 # ----------------------------------------------------------------------

@@ -768,20 +768,9 @@ class ResultCache:
         if self.pack_dir.is_dir():
             old_segments = {p.name for p in self.pack_dir.iterdir()
                             if p.name != self.manifest_path.name}
-        new_segment = f"compact-{os.getpid():x}-{os.urandom(4).hex()}.seg"
-        lines: list[str] = []
-        blobs: list[bytes] = []
-        offset = 0
-
-        def keep(key: str, blob: bytes, backend: str) -> None:
-            nonlocal offset
-            blobs.append(blob)
-            lines.append(_manifest_line(key, new_segment, offset,
-                                        len(blob), backend))
-            offset += len(blob)
-
-        # 1. copy every live blob into one fresh segment
-        kept = set()
+        # 1. every live blob, then 2. the valid per-file entries the
+        # pack log lacks, in the order they go into one fresh segment
+        kept: dict[str, tuple[bytes, str]] = {}
         for key, (segment, start, size, backend) in \
                 self._current_index().items():
             try:
@@ -791,9 +780,7 @@ class ResultCache:
                 self._decode(json.loads(blob))
             except (OSError, ValueError, TypeError, KeyError):
                 continue  # unreadable: drop from the compacted index
-            keep(key, blob, backend)
-            kept.add(key)
-        # 2. import the valid per-file entries the pack log lacks
+            kept[key] = (blob, backend)
         for path in legacy:
             if path.stem in kept:
                 continue
@@ -802,14 +789,20 @@ class ResultCache:
                 run = self._decode(payload)
             except (OSError, ValueError, TypeError, KeyError):
                 continue
-            keep(path.stem, json.dumps(payload, sort_keys=True,
-                                       separators=(",", ":")).encode(),
-                 run.backend)
-            kept.add(path.stem)
-        if blobs:
+            kept[path.stem] = (json.dumps(payload, sort_keys=True,
+                                          separators=(",", ":")).encode(),
+                               run.backend)
+        new_segment = f"compact-{os.getpid():x}-{os.urandom(4).hex()}.seg"
+        lines: list[str] = []
+        offset = 0
+        for key, (blob, backend) in kept.items():
+            lines.append(_manifest_line(key, new_segment, offset,
+                                        len(blob), backend))
+            offset += len(blob)
+        if kept:
             self.pack_dir.mkdir(parents=True, exist_ok=True)
             with open(self.pack_dir / new_segment, "wb") as handle:
-                handle.write(b"".join(blobs))
+                handle.write(b"".join(blob for blob, _ in kept.values()))
             atomic_write_text(self.manifest_path, "".join(lines))
         elif self.manifest_path.exists():
             atomic_write_text(self.manifest_path, "")
